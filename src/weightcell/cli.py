@@ -312,11 +312,11 @@ def _cmd_coxeter(args) -> int:
         return _cmd_closed_form(args)
     sys_ = _load_system(args)
     if args.subcommand == "build":
-        a = coxeter.language_automaton(sys_, args.lang, caps.states)
+        a = coxeter.language_automaton(sys_, args.lang, caps.states, caps.roots)
         _emit(automata.to_dot(a) if args.format == "dot" else automata.to_json(a), args.output)
         return 0
     if args.subcommand == "cone":
-        a = coxeter.language_automaton(sys_, args.lang, caps.states)
+        a = coxeter.language_automaton(sys_, args.lang, caps.states, caps.roots)
         letter_doc = _cone_document(a, caps)
         classes = coxeter.weight_classes(sys_)
         raw = cones.HRep(len(a.alphabet), tuple(weights.boundedness_cone_vectors(a, caps.cycles)))
@@ -347,8 +347,8 @@ def _cmd_coxeter(args) -> int:
         return 0
     if args.subcommand == "bound":
         phi = weights.parse_weights(args.phi, sys_.generators)
-        result = coxeter.group_cell(sys_, phi, args.lang, caps.states, caps.cycles)
-        a = coxeter.language_automaton(sys_, args.lang, caps.states)
+        result = coxeter.group_cell(sys_, phi, args.lang, caps.states, caps.cycles, caps.roots)
+        a = coxeter.language_automaton(sys_, args.lang, caps.states, caps.roots)
         doc = {
             "bound": _frac(result.bound),
             "witnesses": [list(a.word_names(w)) for w in result.witnesses],
@@ -362,8 +362,8 @@ def _cmd_coxeter(args) -> int:
         return 0
     if args.subcommand == "cell":
         phi = weights.parse_weights(args.phi, sys_.generators)
-        result = coxeter.group_cell(sys_, phi, args.lang, caps.states, caps.cycles)
-        a = coxeter.language_automaton(sys_, args.lang, caps.states)
+        result = coxeter.group_cell(sys_, phi, args.lang, caps.states, caps.cycles, caps.roots)
+        a = coxeter.language_automaton(sys_, args.lang, caps.states, caps.roots)
         prefix = args.out_prefix or Path(args.file).stem
         doc = _cell_files(
             a, result.bound, result.witnesses, result.cell_nfa, result.cell_dfa, prefix
@@ -470,7 +470,7 @@ def _cmd_closed_form(args) -> int:
 def _cmd_probe(args, sys_, caps: Caps) -> int:
     """Sample bounded weight functions and report whether some witness lies
     in a finite standard parabolic subgroup.  Reports only; asserts nothing."""
-    a = coxeter.language_automaton(sys_, args.lang, caps.states)
+    a = coxeter.language_automaton(sys_, args.lang, caps.states, caps.roots)
     classes = coxeter.weight_classes(sys_)
     raw_vectors = weights.boundedness_cone_vectors(a, caps.cycles)
     if raw_vectors:
@@ -495,7 +495,7 @@ def _cmd_probe(args, sys_, caps: Caps) -> int:
         for group, value in zip(classes, values):
             for i in group:
                 assignment[sys_.generators[i]] = value
-        result = coxeter.group_cell(sys_, assignment, args.lang, caps.states, caps.cycles)
+        result = coxeter.group_cell(sys_, assignment, args.lang, caps.states, caps.cycles, caps.roots)
         witness_info = []
         for w in result.witnesses:
             support = tuple(sorted(set(w)))

@@ -202,6 +202,14 @@ def _bn_extremal_words(n: int) -> list[Word]:
     return words
 
 
+@lru_cache(maxsize=16)
+def _bn_normal_forms(n: int) -> tuple[Word, ...]:
+    """Shortlex normal forms of the extremal words; they do not depend on
+    the weights."""
+    sys = _b_system(n)
+    return tuple(lex_word(sys, natural_map(sys, w)) for w in _bn_extremal_words(n))
+
+
 def bn_bound(n: int, a, b) -> SphericalFormulaResult:
     """Bound (always) and cell (for a, b nonzero) in the B-series, with
     weight a on the chain generators and b on the bond-4 generator."""
@@ -217,11 +225,7 @@ def bn_bound(n: int, a, b) -> SphericalFormulaResult:
     if a == 0 or b == 0:
         return SphericalFormulaResult(sys.generators, value, None)
     phi = WeightVector(sys.generators, tuple([a] * (n - 1) + [b]))
-    cell = []
-    for w in _bn_extremal_words(n):
-        normal = lex_word(sys, natural_map(sys, w))
-        if weight_of_word(phi, normal) == value:
-            cell.append(normal)
+    cell = [w for w in _bn_normal_forms(n) if weight_of_word(phi, w) == value]
     return SphericalFormulaResult(sys.generators, value, _sorted_words(cell))
 
 
@@ -267,6 +271,14 @@ def _f4_candidates() -> list[Word]:
     return words
 
 
+@lru_cache(maxsize=1)
+def _f4_normal_forms() -> tuple[Word, ...]:
+    """Shortlex normal forms of the candidate words; they do not depend on
+    the weights."""
+    sys = _f4_system()
+    return tuple(lex_word(sys, natural_map(sys, w)) for w in _f4_candidates())
+
+
 def f4_bound(a, b) -> SphericalFormulaResult:
     """Bound (always) and cell (for a, b nonzero) in F4, with weight a on
     the two long-node generators s1, s2 and b on s3, s4."""
@@ -288,11 +300,7 @@ def f4_bound(a, b) -> SphericalFormulaResult:
     if a == 0 or b == 0:
         return SphericalFormulaResult(sys.generators, value, None)
     phi = WeightVector(sys.generators, (a, a, b, b))
-    cell = []
-    for w in _f4_candidates():
-        normal = lex_word(sys, natural_map(sys, w))
-        if weight_of_word(phi, normal) == value:
-            cell.append(normal)
+    cell = [w for w in _f4_normal_forms() if weight_of_word(phi, w) == value]
     return SphericalFormulaResult(sys.generators, value, _sorted_words(cell))
 
 

@@ -3,9 +3,11 @@ for the reduced-word and shortlex languages.
 
 Group elements are matrices of the geometric representation over the real
 cyclotomic field Q(2cos(pi/M)), M the lcm of the finite bond labels, acting
-on column vectors of simple-root coordinates.  Equality is entry-wise exact,
-descent sets come from exact root signs, and the shortlex normal form is the
-greedy strip of the least left descent.
+on column vectors of simple-root coordinates.  Their entries lie in the ring
+Z[2cos(pi/M)] and are stored as tuples of ints (see `cyclo`'s integer
+kernel).  Equality is entry-wise exact, descent sets come from exact root
+signs, and the shortlex normal form is the greedy strip of the least left
+descent.
 
 The reduced-word automaton tracks the subset of minimal roots sent negative;
 the shortlex automaton is built on the reversed language (where the same
@@ -17,14 +19,21 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
 from . import limits
 from .automata import Automaton, Word, determinize, minimize, reverse
-from .cyclo import CycloReal, embed_2cos
+from .cyclo import (
+    CycloReal,
+    embed_2cos,
+    int_multiplier,
+    int_mul_sub,
+    int_sign,
+    minimal_polynomial_of_2cos,
+)
 from .errors import InputError, ResourceLimitError, UnboundedError
 from .weights import (
     WeightVector,
@@ -163,47 +172,82 @@ def bilinear_form(sys: CoxeterSystem):
     return tuple(tuple(entry(i, j) for j in range(n)) for i in range(n))
 
 
+IntVec = tuple[int, ...]  # an element of Z[2cos(pi/M)], power-basis coefficients
+IntMatrix = tuple[tuple[IntVec, ...], ...]  # rows of entries
+
+
 @lru_cache(maxsize=None)
-def _two_b(sys: CoxeterSystem):
+def _kernel(sys: CoxeterSystem):
+    """The integer data of the generators' action: for each s, the pairs
+    (k, multiplier of 2B(alpha_s, alpha_k)) over k != s with a nonzero entry.
+
+    2B has entries 2, -2cos(pi/m) and -2, all in Z[2cos(pi/M)], so every
+    group matrix and every root has integer coefficient vectors (`IntVec`).
+    """
+    M = field_modulus(sys)
     B = bilinear_form(sys)
-    return tuple(tuple(2 * v for v in row) for row in B)
+    n = sys.rank
+    plans = []
+    for s in range(n):
+        plan = []
+        for k in range(n):
+            entry = 2 * B[s][k]
+            if k != s and not entry.is_zero():
+                if any(c.denominator != 1 for c in entry.coeffs):
+                    raise ArithmeticError("2B has a non-integral entry")
+                plan.append((k, int_multiplier(M, tuple(int(c) for c in entry.coeffs))))
+        plans.append(tuple(plan))
+    return tuple(plans)
+
+
+def _reflect(plan, s: int, vec) -> IntVec:
+    """Coordinate s of sigma_s(vec) = vec - 2B(alpha_s, vec) alpha_s, that is
+    -vec[s] - sum over k != s of 2B(alpha_s, alpha_k) vec[k]."""
+    out = tuple([-v for v in vec[s]])
+    for k, multiplier in plan:
+        if any(vec[k]):
+            out = int_mul_sub(out, multiplier, vec[k])
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Group elements
 # ---------------------------------------------------------------------------
 
-Matrix = tuple[tuple[CycloReal, ...], ...]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupElement:
-    """Exact matrix of the geometric representation, with its inverse cached
-    so descent tests on both sides stay cheap."""
+    """Exact matrix of the geometric representation, with its inverse kept
+    so descent tests on both sides stay cheap.  Entries are integer
+    coefficient vectors over Z[2cos(pi/M)]; the hash is computed once."""
 
     system: CoxeterSystem
-    mat: Matrix
-    inv: Matrix
+    mat: IntMatrix
+    inv: IntMatrix
+    _hash: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self.mat))
 
     def __eq__(self, other):
         return (
             isinstance(other, GroupElement)
-            and self.system == other.system
+            and self._hash == other._hash
             and self.mat == other.mat
+            and self.system == other.system
         )
 
     def __hash__(self):
-        return hash(self.mat)
+        return self._hash
 
     def is_identity(self) -> bool:
         return self.mat == _identity_matrix(self.system)
 
 
 @lru_cache(maxsize=None)
-def _identity_matrix(sys: CoxeterSystem) -> Matrix:
-    M = field_modulus(sys)
-    one = CycloReal.from_rational(M, 1)
-    zero = CycloReal.zero(M)
+def _identity_matrix(sys: CoxeterSystem) -> IntMatrix:
+    deg = len(minimal_polynomial_of_2cos(field_modulus(sys))) - 1
+    one = (1,) + (0,) * (deg - 1)
+    zero = (0,) * deg
     n = sys.rank
     return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
@@ -213,37 +257,30 @@ def identity(sys: CoxeterSystem) -> GroupElement:
     return GroupElement(sys, e, e)
 
 
-def _left_mul_matrix(sys: CoxeterSystem, s: int, x: Matrix) -> Matrix:
-    """Matrix of the generator s times x (one row changes)."""
-    twoB = _two_b(sys)[s]
-    n = sys.rank
-    new_row = list(x[s])
-    for k in range(n):
-        c = twoB[k]
-        if not c.is_zero():
-            row_k = x[k]
-            new_row = [a - c * b for a, b in zip(new_row, row_k)]
+def _left_mul_matrix(sys: CoxeterSystem, s: int, x: IntMatrix) -> IntMatrix:
+    """Matrix of the generator s times x: sigma_s on every column, so only
+    row s changes."""
+    plan = _kernel(sys)[s]
     rows = list(x)
-    rows[s] = tuple(new_row)
+    rows[s] = tuple([_reflect(plan, s, col) for col in zip(*x)])
     return tuple(rows)
 
 
-def _right_mul_matrix(sys: CoxeterSystem, x: Matrix, s: int) -> Matrix:
-    """x times the matrix of the generator s (columns mix with column s)."""
-    twoB = _two_b(sys)[s]
-    n = sys.rank
+def _right_mul_matrix(sys: CoxeterSystem, x: IntMatrix, s: int) -> IntMatrix:
+    """x times the matrix of the generator s: in each row, entry s is negated
+    and entry k loses 2B(alpha_s, alpha_k) times the old entry s."""
+    plan = _kernel(sys)[s]
     out = []
     for row in x:
-        xs = row[s]
-        if xs.is_zero():
+        a = row[s]
+        if not any(a):
             out.append(row)
-        else:
-            out.append(
-                tuple(
-                    row[j] - twoB[j] * xs if not twoB[j].is_zero() else row[j]
-                    for j in range(n)
-                )
-            )
+            continue
+        new = list(row)
+        new[s] = tuple([-v for v in a])
+        for k, multiplier in plan:
+            new[k] = int_mul_sub(row[k], multiplier, a)
+        out.append(tuple(new))
     return tuple(out)
 
 
@@ -267,53 +304,50 @@ def left_mul(s: int, g: GroupElement) -> GroupElement:
 
 def natural_map(sys: CoxeterSystem, w: Word) -> GroupElement:
     """The product of the generators of w, left to right."""
-    g = identity(sys)
+    mat = inv = _identity_matrix(sys)
     for s in w:
-        g = right_mul(g, s)
-    return g
+        mat = _right_mul_matrix(sys, mat, s)
+        inv = _left_mul_matrix(sys, s, inv)
+    return GroupElement(sys, mat, inv)
 
 
-def _column(mat: Matrix, j: int):
-    return tuple(row[j] for row in mat)
-
-
-def _is_negative_root(vec) -> bool:
-    negative = False
-    for c in vec:
-        sgn = c.sign()
-        if sgn > 0:
-            return False
-        if sgn < 0:
-            negative = True
-    return negative
+def _is_negative_column(M: int, x: IntMatrix, s: int) -> bool:
+    """True iff column s of x, a root, is negative.  A root's coordinates
+    never have opposite signs, so its first nonzero coordinate decides."""
+    for row in x:
+        if any(row[s]):
+            return int_sign(M, row[s]) < 0
+    raise InputError("the zero vector is not a root")
 
 
 def left_descents(sys: CoxeterSystem, g: GroupElement) -> frozenset[int]:
     """Generators t with l(tg) < l(g): those whose root is sent negative by
     the inverse."""
-    return frozenset(
-        t for t in range(sys.rank) if _is_negative_root(_column(g.inv, t))
-    )
+    M = field_modulus(sys)
+    return frozenset(t for t in range(sys.rank) if _is_negative_column(M, g.inv, t))
 
 
 def right_descents(sys: CoxeterSystem, g: GroupElement) -> frozenset[int]:
-    return frozenset(
-        s for s in range(sys.rank) if _is_negative_root(_column(g.mat, s))
-    )
+    M = field_modulus(sys)
+    return frozenset(s for s in range(sys.rank) if _is_negative_column(M, g.mat, s))
 
 
 def lex_word(sys: CoxeterSystem, g: GroupElement) -> Word:
-    """Shortlex normal form: repeatedly strip the least left descent."""
+    """Shortlex normal form: repeatedly strip the least left descent.
+
+    Only the inverse is tracked: the left descents of h are read off the
+    columns of h^-1, and (t h)^-1 = h^-1 t.
+    """
+    M = field_modulus(sys)
     word = []
-    cur = g
+    inv = g.inv
     identity_mat = _identity_matrix(sys)
-    while cur.mat != identity_mat:
-        descents = left_descents(sys, cur)
-        if not descents:
+    while inv != identity_mat:
+        t = next((t for t in range(sys.rank) if _is_negative_column(M, inv, t)), None)
+        if t is None:
             raise InputError("matrix is not a product of generator matrices")
-        t = min(descents)
         word.append(t)
-        cur = left_mul(t, cur)
+        inv = _right_mul_matrix(sys, inv, t)
     return tuple(word)
 
 
@@ -346,7 +380,7 @@ class MinimalRootTable:
         return len(self.roots)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def minimal_roots(
     sys: CoxeterSystem, max_roots: int = limits.MAX_ROOTS
 ) -> MinimalRootTable:
@@ -355,21 +389,15 @@ def minimal_roots(
     For a minimal root g and generator s with c = B(alpha_s, g): the root is
     its own descent when g = alpha_s; fixed when c = 0; reflected to the
     minimal root g - 2c*alpha_s when -1 < c < 1; and the image is non-minimal
-    otherwise (|c| >= 1).
+    otherwise (|c| >= 1).  The search runs on integer vectors and compares
+    2c with +-2.
     """
     M = field_modulus(sys)
-    B = bilinear_form(sys)
+    plans = _kernel(sys)
+    identity_mat = _identity_matrix(sys)
     n = sys.rank
-    zero = CycloReal.zero(M)
-    one = CycloReal.from_rational(M, 1)
-
-    simple = []
-    for i in range(n):
-        vec = [zero] * n
-        vec[i] = one
-        simple.append(tuple(vec))
-    roots: list[tuple[CycloReal, ...]] = list(simple)
-    index: dict[tuple[CycloReal, ...], int] = {r: i for i, r in enumerate(simple)}
+    roots: list[tuple[IntVec, ...]] = list(identity_mat)  # the simple roots
+    index: dict[tuple[IntVec, ...], int] = {r: i for i, r in enumerate(roots)}
 
     action: dict[tuple[int, int], int] = {}
     frontier = list(range(n))
@@ -381,17 +409,18 @@ def minimal_roots(
                 if r == s and r < n:
                     action[(s, r)] = ACTION_DESCENT
                     continue
-                c = sum((B[s][j] * gamma[j] for j in range(n)), zero)
-                sgn = c.sign()
-                if sgn == 0:
+                image_s = _reflect(plans[s], s, gamma)
+                two_c = tuple([a - b for a, b in zip(gamma[s], image_s)])
+                if int_sign(M, two_c) == 0:
                     action[(s, r)] = r
                     continue
-                if (c - 1).sign() >= 0 or (c + 1).sign() <= 0:
+                if (
+                    int_sign(M, (two_c[0] - 2,) + two_c[1:]) >= 0
+                    or int_sign(M, (two_c[0] + 2,) + two_c[1:]) <= 0
+                ):
                     action[(s, r)] = ACTION_NONMINIMAL
                     continue
-                image = list(gamma)
-                image[s] = image[s] - 2 * c
-                key = tuple(image)
+                key = gamma[:s] + (image_s,) + gamma[s + 1 :]
                 if key not in index:
                     if len(roots) >= max_roots:
                         raise ResourceLimitError("minimal roots", max_roots)
@@ -404,7 +433,10 @@ def minimal_roots(
     table = tuple(
         tuple(action[(s, r)] for r in range(len(roots))) for s in range(n)
     )
-    return MinimalRootTable(tuple(roots), table)
+    public = tuple(
+        tuple(CycloReal(M, tuple(Fraction(c) for c in v)) for v in root) for root in roots
+    )
+    return MinimalRootTable(public, table)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +494,7 @@ def _subset_automaton(
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def reduced_word_automaton(
     sys: CoxeterSystem,
     max_states: int = limits.MAX_STATES,
@@ -472,7 +504,7 @@ def reduced_word_automaton(
     return _subset_automaton(sys, shortlex=False, max_states=max_states, max_roots=max_roots)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def shortlex_automaton(
     sys: CoxeterSystem,
     max_states: int = limits.MAX_STATES,
@@ -494,25 +526,26 @@ def shortlex_automaton(
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _ball_entries(
     sys: CoxeterSystem, radius: int, max_elements: int
 ) -> tuple[tuple[GroupElement, Word], ...]:
     if radius < 0:
         raise InputError("radius must be >= 0")
     e = identity(sys)
-    seen: dict[Matrix, tuple[GroupElement, Word]] = {e.mat: (e, ())}
+    seen: dict[IntMatrix, tuple[GroupElement, Word]] = {e.mat: (e, ())}
     frontier = [(e, ())]
     for _ in range(radius):
         nxt = []
         for g, word in frontier:
             for s in range(sys.rank):
-                h = right_mul(g, s)
-                if h.mat not in seen:
+                mat = _right_mul_matrix(sys, g.mat, s)
+                if mat not in seen:
                     if len(seen) >= max_elements:
                         raise ResourceLimitError("group elements", max_elements)
+                    h = GroupElement(sys, mat, _left_mul_matrix(sys, s, g.inv))
                     entry = (h, word + (s,))
-                    seen[h.mat] = entry
+                    seen[mat] = entry
                     nxt.append(entry)
         if not nxt:
             break
@@ -603,11 +636,16 @@ class GroupCellResult:
     cell_dfa: Automaton
 
 
-def language_automaton(sys: CoxeterSystem, language: str, max_states: int = limits.MAX_STATES) -> Automaton:
+def language_automaton(
+    sys: CoxeterSystem,
+    language: str,
+    max_states: int = limits.MAX_STATES,
+    max_roots: int = limits.MAX_ROOTS,
+) -> Automaton:
     if language == "lex":
-        return shortlex_automaton(sys, max_states)
+        return shortlex_automaton(sys, max_states, max_roots)
     if language == "reduced":
-        return minimize(reduced_word_automaton(sys, max_states))
+        return minimize(reduced_word_automaton(sys, max_states, max_roots))
     raise InputError(f"unknown language {language!r} (expected 'lex' or 'reduced')")
 
 
@@ -617,6 +655,7 @@ def group_cell(
     language: str = "lex",
     max_states: int = limits.MAX_STATES,
     max_cycles: int = limits.MAX_CYCLES,
+    max_roots: int = limits.MAX_ROOTS,
 ) -> GroupCellResult:
     """Boundedness, bound, and cell of a group weight function, through the
     chosen geodesic language (shortlex is exact, so its cell automaton
@@ -626,7 +665,7 @@ def group_cell(
         raise InputError(
             "assignment does not extend to a weight function (odd-bond values differ)"
         )
-    a = language_automaton(sys, language, max_states)
+    a = language_automaton(sys, language, max_states, max_roots)
     d = prepared(a)
     report = is_bounded(d, phi, max_cycles)
     if not report.bounded:

@@ -5,7 +5,14 @@ module adds the single field extension needed for root coordinates of
 Coxeter systems with arbitrary finite bond labels: elements are stored as
 coefficient vectors in the power basis of x = 2cos(pi/M) modulo its minimal
 polynomial, so equality and the zero test are exact, and sign determination
-is exact via rational interval refinement around the real embedding.
+is exact via certified interval refinement around the real embedding.
+
+`CycloReal` is the public field type, with rational coefficients.  Group
+matrices and roots of Coxeter systems lie in the ring Z[2cos(pi/M)] (the
+minimal polynomial is monic), so the group layer stores them as plain
+tuples of ints and uses the integer kernel here: `int_multiplier` and
+`int_mul_sub` for products, `int_sign` for signs.  `CycloReal.sign` clears
+denominators and calls the same `int_sign`.
 """
 
 from __future__ import annotations
@@ -13,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 import mpmath
 
@@ -30,15 +38,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Integer polynomial helpers (dense, ascending coefficients)
 # ---------------------------------------------------------------------------
-
-
-def _poly_mul(p: list[int], q: list[int]) -> list[int]:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return out
 
 
 def _poly_divexact(p: list[int], q: list[int]) -> list[int]:
@@ -129,36 +128,56 @@ def minimal_polynomial_of_2cos(M: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _field_data(M: int):
-    """Degree and x^k reduction rows (deg <= k <= 2deg-2) for the modulus M."""
+    """Degree and the integer reduction rows of x^k (deg <= k <= 2deg-2) for
+    the modulus M; integers because the minimal polynomial is monic."""
     poly = minimal_polynomial_of_2cos(M)
     deg = len(poly) - 1
     rows = []
     # x^deg = -(poly[0] + ... + poly[deg-1] x^{deg-1})
-    row = [Fraction(-c) for c in poly[:deg]]
+    row = [-c for c in poly[:deg]]
     rows.append(tuple(row))
     for _ in range(deg - 2):
-        shifted = [Fraction(0)] + row[:-1]
         top = row[-1]
+        row = [0] + row[:-1]
         if top:
-            base = rows[0]
-            shifted = [shifted[i] + top * base[i] for i in range(deg)]
-        row = shifted
+            row = [a + top * b for a, b in zip(row, rows[0])]
         rows.append(tuple(row))
     return deg, tuple(rows)
 
 
-def _reduce(M: int, coeffs: list[Fraction]) -> tuple[Fraction, ...]:
+def _reduce(M: int, coeffs: list) -> tuple:
+    """Reduce a coefficient list (ints or Fractions, any length >= 1) modulo
+    the minimal polynomial; consumes the list."""
     deg, rows = _field_data(M)
-    if len(coeffs) < deg:
-        coeffs = coeffs + [Fraction(0)] * (deg - len(coeffs))
     for k in range(len(coeffs) - 1, deg - 1, -1):
-        c = coeffs[k]
+        c = coeffs.pop()
         if c:
-            row = rows[k - deg]
-            for i in range(deg):
-                coeffs[i] += c * row[i]
-        coeffs.pop()
-    return tuple(coeffs)
+            coeffs[:deg] = [a + c * r for a, r in zip(coeffs, rows[k - deg])]
+    return tuple(coeffs) + (Fraction(0),) * (deg - len(coeffs))
+
+
+# ---------------------------------------------------------------------------
+# Integer kernel: elements of Z[2cos(pi/M)] as tuples of ints
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def int_multiplier(M: int, c: tuple[int, ...]):
+    """Multiplication by the fixed element c, for `int_mul_sub`: (c0, None)
+    when c is the integer c0, else (None, rows) with rows the integer matrix
+    of y -> c*y in the power basis."""
+    if not any(c[1:]):
+        return c[0], None
+    columns = [_reduce(M, [0] * j + list(c)) for j in range(len(c))]  # c * x^j
+    return None, tuple(zip(*columns))
+
+
+def int_mul_sub(u, multiplier, y) -> tuple[int, ...]:
+    """u - c*y for integer coefficient vectors, c given by `int_multiplier`."""
+    c0, rows = multiplier
+    if rows is None:
+        return tuple([p - c0 * q for p, q in zip(u, y)])
+    return tuple([p - sum(map(mul, r, y)) for p, r in zip(u, rows)])
 
 
 @dataclass(frozen=True)
@@ -418,45 +437,65 @@ def _eval_int_poly(poly, x: Fraction) -> Fraction:
     return acc
 
 
-def sign(x: CycloReal) -> int:
-    """Exact sign of x under the real embedding 2cos(pi/M) -> its real value.
+@lru_cache(maxsize=None)
+def _power_bounds(M: int, prec: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(lo_i + hi_i) and (hi_i - lo_i) for integers lo_i <= x^i * 2^prec <= hi_i,
+    x = 2cos(pi/M), i < deg.
 
-    Zero iff the coefficient vector is zero (the power basis is faithful);
-    otherwise the precision of the interval around the generator is doubled
-    until the interval evaluation of the polynomial excludes zero, which
-    terminates because a nonzero algebraic number has nonzero value.
+    The bounds come from the certified enclosure of x, rounded outward at
+    every power; x > 0 whenever the degree exceeds 1, so the powers of the
+    enclosure's ends bound the powers of x.
     """
-    if x.is_zero():
-        return 0
-    if x.is_rational():
-        c = x.coeffs[0]
-        return -1 if c < 0 else 1
+    deg, _ = _field_data(M)
+    lo, hi = _generator_enclosure(M, prec)
+    if lo <= 0:
+        raise ArithmeticError(f"enclosure of 2cos(pi/{M}) is not positive")
+    low = high = 1 << prec
+    centres, radii = [], []
+    for _ in range(deg):
+        centres.append(low + high)
+        radii.append(high - low)
+        low = low * lo.numerator // lo.denominator
+        high = -(-high * hi.numerator // hi.denominator)
+    return tuple(centres), tuple(radii)
+
+
+def int_sign(M: int, coeffs) -> int:
+    """Exact sign of sum(coeffs[i] * x^i), x = 2cos(pi/M), for integers.
+
+    Zero iff the vector is zero (the power basis is faithful).  A nonzero
+    vector whose coefficients share one sign has that sign, as x > 0 (in
+    degree 1 the vector is its constant).  Otherwise 2^(prec+1) times the
+    value lies in [C - R, C + R], with C = sum c_i (lo_i + hi_i) and
+    R = sum |c_i| (hi_i - lo_i) from `_power_bounds`; the precision is
+    doubled until that interval excludes zero, which terminates because a
+    nonzero algebraic number has nonzero value.  No float decides a sign.
+    """
+    if min(coeffs) >= 0:
+        return 1 if any(coeffs) else 0
+    if max(coeffs) <= 0:
+        return -1
     prec = 64
     while True:
-        lo, hi = _generator_enclosure(x.modulus, prec)
-        vlo, vhi = _eval_interval(x.coeffs, lo, hi)
-        if vlo > 0:
+        centres, radii = _power_bounds(M, prec)
+        centre = sum(map(mul, coeffs, centres))
+        radius = sum(map(mul, map(abs, coeffs), radii))
+        if centre > radius:
             return 1
-        if vhi < 0:
+        if centre < -radius:
             return -1
         prec *= 2
         if prec > 1 << 20:
             raise ArithmeticError("sign determination failed to converge")
 
 
-def _eval_interval(coeffs, lo: Fraction, hi: Fraction):
-    total_lo, total_hi = coeffs[0], coeffs[0]
-    pow_lo, pow_hi = Fraction(1), Fraction(1)
-    for c in coeffs[1:]:
-        products = (pow_lo * lo, pow_lo * hi, pow_hi * lo, pow_hi * hi)
-        pow_lo, pow_hi = min(products), max(products)
-        if c > 0:
-            total_lo += c * pow_lo
-            total_hi += c * pow_hi
-        elif c < 0:
-            total_lo += c * pow_hi
-            total_hi += c * pow_lo
-    return total_lo, total_hi
+def sign(x: CycloReal) -> int:
+    """Exact sign of x under the real embedding 2cos(pi/M) -> its real value:
+    clear the denominators and take the certified integer sign."""
+    denom = 1
+    for c in x.coeffs:
+        denom = lcm(denom, Fraction(c).denominator)
+    return int_sign(x.modulus, [int(c * denom) for c in x.coeffs])
 
 
 def primitive_vector(vec) -> tuple[int, ...]:

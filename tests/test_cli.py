@@ -250,3 +250,21 @@ class TestCoxeterCommands:
         )
         assert code == 3
         assert json.loads(err)["error"]["code"] == 3
+
+    def test_roots_cap_exit_3(self, capsys, tmp_path, monkeypatch):
+        # A3 has 6 minimal roots (its positive roots), so a cap of 2 must stop
+        # the build in the minimal-root search.
+        path = tmp_path / "a3.json"
+        path.write_text(
+            json.dumps(
+                {"generators": ["a", "b", "c"], "matrix": [[1, 3, 2], [3, 1, 3], [2, 3, 1]]}
+            )
+        )
+        monkeypatch.setenv("WEIGHTCELL_CAPS", "roots=2")
+        code, out, err = run(capsys, "coxeter", "build", str(path), "--format", "json")
+        assert code == 3
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == 3
+        assert error["type"] == "ResourceLimitError"
+        assert "minimal roots" in error["message"]

@@ -1,7 +1,11 @@
 """Coxeter-engine tests: minimal roots, automata, normal forms, the ball
 oracle, group weight functions, cells, and the Hecke view."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weightcell.automata import enumerate_words, equivalent, to_json
 from weightcell.coxeter import (
@@ -17,6 +21,7 @@ from weightcell.coxeter import (
     lex_word,
     longest_element,
     minimal_roots,
+    field_modulus,
     natural_map,
     parabolic_consistency,
     parabolic_elements,
@@ -205,6 +210,59 @@ class TestGroupArithmetic:
         sys = dihedral_system(4)
         mats = {g.mat for g in ball(sys, 100)}
         assert len(mats) == 8
+
+
+def reflection_product(sys, word):
+    """The product of the generator matrices of word, left to right, built
+    over CycloReal from the bilinear form: column j of sigma_s is
+    alpha_j - 2B(alpha_s, alpha_j) alpha_s."""
+    B = bilinear_form(sys)
+    n = sys.rank
+    M = field_modulus(sys)
+    zero, one = CycloReal.zero(M), CycloReal.from_rational(M, 1)
+    g = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    for s in word:
+        sigma = [
+            [(one if i == j else zero) - (2 * B[s][j] if i == s else zero) for j in range(n)]
+            for i in range(n)
+        ]
+        g = [[sum((g[i][k] * sigma[k][j] for k in range(n)), zero) for j in range(n)] for i in range(n)]
+    return g
+
+
+def as_cyclo(sys, mat):
+    M = field_modulus(sys)
+    return [[CycloReal(M, tuple(Fraction(c) for c in entry)) for entry in row] for row in mat]
+
+
+@st.composite
+def random_systems_and_words(draw):
+    """Rank 3 or 4, labels from {2, 3, 4, 5, 6, infinity}, a word of <= 5 letters."""
+    n = draw(st.integers(3, 4))
+    mat = [[1] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            mat[i][j] = mat[j][i] = draw(st.sampled_from((2, 3, 4, 5, 6, 0)))
+    sys = CoxeterSystem(tuple("stuv"[:n]), tuple(map(tuple, mat)))
+    word = tuple(draw(st.lists(st.integers(0, n - 1), max_size=5)))
+    return sys, word
+
+
+class TestIntegerKernel:
+    @given(random_systems_and_words())
+    @settings(max_examples=40, deadline=None)
+    def test_natural_map_matches_reflection_product(self, case):
+        sys, word = case
+        g = natural_map(sys, word)
+        assert as_cyclo(sys, g.mat) == reflection_product(sys, word)
+        assert as_cyclo(sys, g.inv) == reflection_product(sys, word[::-1])
+
+    @given(random_systems_and_words())
+    @settings(max_examples=40, deadline=None)
+    def test_lex_word_matches_ball(self, case):
+        sys, word = case
+        g = natural_map(sys, word)
+        assert lex_word(sys, g) == ball(sys, len(word))[g]
 
 
 class TestFiniteness:

@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mpmath
+
 from weightcell.cyclo import (
     CycloReal,
     embed_2cos,
+    int_sign,
     minimal_polynomial_of_2cos,
     primitive_vector,
     sign,
@@ -183,3 +186,100 @@ def test_primitive_vector():
     assert primitive_vector([Fraction(1, 2), Fraction(-3, 4)]) == (2, -3)
     assert primitive_vector([4, 6, -2]) == (2, 3, -1)
     assert primitive_vector([0, 0]) == (0, 0)
+
+
+# -- the integer sign against an exact rational interval reference -----------
+
+SIGN_MODULI = (5, 7, 12, 20, 154)
+
+
+def reference_sign(M, coeffs):
+    """Sign of sum(c_i x^i), x = 2cos(pi/M), by exact bisection.
+
+    x lies in the rational interval [lo, hi] / 2^k, certified by a sign
+    change of the minimal polynomial; the interval is halved until interval
+    evaluation of the sum excludes zero.  Values are kept as integer
+    numerators over a power of two, so every comparison is exact.
+    """
+    if not any(coeffs):
+        return 0
+    poly = minimal_polynomial_of_2cos(M)
+    deg = len(coeffs) - 1
+
+    def poly_sign(t, k):  # sign of poly(t / 2^k), by Horner on 2^(k*deg) * poly
+        value = 0
+        for i, a in enumerate(reversed(poly)):
+            value = value * t + (a << (k * i))
+        return (value > 0) - (value < 0)
+
+    k = 40
+    lo = int((2 * math.cos(math.pi / M) - 1e-9) * 2**k)
+    hi = int((2 * math.cos(math.pi / M) + 1e-9) * 2**k)
+    sign_lo = poly_sign(lo, k)
+    assert lo > 0 and sign_lo * poly_sign(hi, k) < 0
+    while True:
+        # x > 0, so x^i lies in [lo^i, hi^i] / 2^(k*i)
+        low = sum(c * (lo if c > 0 else hi) ** i << (k * (deg - i)) for i, c in enumerate(coeffs))
+        high = sum(c * (hi if c > 0 else lo) ** i << (k * (deg - i)) for i, c in enumerate(coeffs))
+        if low > 0:
+            return 1
+        if high < 0:
+            return -1
+        for _ in range(32):
+            lo, hi, k = 2 * lo, 2 * hi, k + 1
+            mid = (lo + hi) // 2
+            if sign_lo * poly_sign(mid, k) < 0:
+                hi = mid
+            else:
+                lo = mid
+
+
+def field_degree(M):
+    return len(minimal_polynomial_of_2cos(M)) - 1
+
+
+@st.composite
+def random_int_vectors(draw):
+    M = draw(st.sampled_from(SIGN_MODULI))
+    bound = draw(st.sampled_from((3, 100, 10**12)))
+    coeffs = [draw(st.integers(-bound, bound)) for _ in range(field_degree(M))]
+    return M, coeffs
+
+
+@st.composite
+def near_cancelling_vectors(draw):
+    """2^b x^k - N with N the truncation of 2^b x^k, or one above it: the power
+    expansion of x^k minus an approximant of its value, scaled to integers."""
+    M = draw(st.sampled_from(SIGN_MODULI))
+    k = draw(st.integers(1, 3 * field_degree(M)))
+    b = draw(st.integers(8, 400))
+    expansion = (CycloReal.generator(M) ** k).coeffs
+    with mpmath.workprec(b + 8 * k + 64):
+        truncated = int(mpmath.floor((2 * mpmath.cos(mpmath.pi / M)) ** k * 2**b))
+    coeffs = [int(c) * 2**b for c in expansion]
+    coeffs[0] -= truncated + draw(st.integers(0, 1))
+    return M, coeffs
+
+
+class TestIntSign:
+    @given(st.one_of(random_int_vectors(), near_cancelling_vectors()))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_fraction_reference(self, case):
+        M, coeffs = case
+        expected = reference_sign(M, coeffs)
+        assert int_sign(M, coeffs) == expected
+        scaled = CycloReal(M, tuple(Fraction(c, 6) for c in coeffs))
+        assert sign(scaled) == expected
+
+    def test_near_cancelling_needs_more_precision(self):
+        # 2^300 x^3 - floor(2^300 x^3) in Q(2cos(pi/154)) is below 1 while its
+        # coefficients exceed 2^300, so 64 bits cannot decide it.
+        M, b = 154, 300
+        with mpmath.workprec(b + 128):
+            truncated = int(mpmath.floor((2 * mpmath.cos(mpmath.pi / M)) ** 3 * 2**b))
+        coeffs = [0] * field_degree(M)
+        coeffs[3] = 2**b
+        coeffs[0] = -truncated
+        assert int_sign(M, coeffs) == reference_sign(M, coeffs) == 1
+        coeffs[0] -= 1
+        assert int_sign(M, coeffs) == reference_sign(M, coeffs) == -1
