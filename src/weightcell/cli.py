@@ -12,6 +12,7 @@ import argparse
 import json
 import random
 import sys as _sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -116,10 +117,6 @@ def _caps(args) -> Caps:
         updates["cycles"] = args.max_cycles
     if getattr(args, "max_words", None) is not None:
         updates["words"] = args.max_words
-    if not updates:
-        return base
-    from dataclasses import replace
-
     return replace(base, **updates)
 
 
@@ -146,14 +143,6 @@ def _emit(text: str, output: str | None):
         Path(output).write_text(text)
     else:
         _sys.stdout.write(text)
-
-
-def _frac(x: Fraction) -> str:
-    return str(x)
-
-
-def _word_text(a: automata.Automaton, w) -> str:
-    return a.format_word(w)
 
 
 def _dump(doc) -> str:
@@ -194,7 +183,7 @@ def _cmd_automaton(args) -> int:
         if args.format == "json":
             _emit(_dump([list(a.word_names(w)) for w in words]), args.output)
         else:
-            _emit("".join(_word_text(a, w) + "\n" for w in words), args.output)
+            _emit("".join(a.format_word(w) + "\n" for w in words), args.output)
         return 0
     if args.format == "dot":
         _emit(automata.to_dot(result), args.output)
@@ -208,16 +197,11 @@ def _cmd_automaton(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cone_document(a: automata.Automaton, caps: Caps) -> dict:
-    raw_vectors = weights.boundedness_cone_vectors(a, caps.cycles)
-    if raw_vectors:
-        raw = cones.HRep(len(a.alphabet), tuple(raw_vectors))
-        irred = cones.remove_redundant(raw)
-        vrep = cones.extreme_rays(irred, caps.rays)
-    else:
-        raw = cones.HRep(len(a.alphabet), ())
-        irred = raw
-        vrep = cones.extreme_rays(raw, caps.rays)
+def _cone_document(a: automata.Automaton, caps: Caps) -> tuple[dict, cones.HRep]:
+    """The letter cone's document, and the raw cone it was reduced from."""
+    raw = cones.HRep(len(a.alphabet), tuple(weights.boundedness_cone_vectors(a, caps.cycles)))
+    irred = cones.remove_redundant(raw, caps.rays)
+    vrep = cones.extreme_rays(irred, caps.rays)
     return {
         "dim": len(a.alphabet),
         "alphabet": list(a.alphabet),
@@ -225,7 +209,16 @@ def _cone_document(a: automata.Automaton, caps: Caps) -> dict:
         "normals": [list(v) for v in irred.normals],
         "lineality": [list(v) for v in vrep.lineality],
         "rays": [list(v) for v in vrep.rays],
-    }
+    }, raw
+
+
+def _class_cone(sys_: coxeter.CoxeterSystem, raw: cones.HRep, caps: Caps):
+    """Weight classes, and the letter cone restricted to class-constant
+    weights: (classes, projected normals, irredundant normals, rays)."""
+    classes = coxeter.weight_classes(sys_)
+    projected = cones.project_parameters(raw, [list(g) for g in classes])
+    irred = cones.remove_redundant(projected, caps.rays)
+    return classes, projected, irred, cones.extreme_rays(irred, caps.rays)
 
 
 def _print_cone(doc, fmt, output):
@@ -244,41 +237,57 @@ def _print_cone(doc, fmt, output):
 
 def _cmd_cone(args) -> int:
     a = _load_automaton(args.file)
-    _print_cone(_cone_document(a, _caps(args)), args.format, None)
+    _print_cone(_cone_document(a, _caps(args))[0], args.format, None)
     return 0
+
+
+def _witness_text(a: automata.Automaton, witnesses) -> str:
+    return ", ".join(a.format_word(w) or "(empty)" for w in witnesses)
+
+
+def _print_bound(a, result, fmt, output, extra=()):
+    """Bound and witnesses of `result`, words spelled in `a`'s alphabet;
+    `extra` items follow them in the JSON document."""
+    doc = {
+        "bound": str(result.bound),
+        "witnesses": [list(a.word_names(w)) for w in result.witnesses],
+        **dict(extra),
+    }
+    if fmt == "json":
+        _emit(_dump(doc), output)
+    else:
+        _emit(f"bound: {result.bound}\nwitnesses: {_witness_text(a, result.witnesses)}\n", output)
+
+
+def _print_cell(a, result, fmt, output, prefix: str, extra=()):
+    """Write the cell automata under `prefix` and report them like
+    `_print_bound`, with the file names."""
+    names = {
+        "cell_raw": f"{prefix}-cell-raw.json",
+        "cell_dfa": f"{prefix}-cell-dfa.json",
+        "cell_dfa_dot": f"{prefix}-cell-dfa.dot",
+    }
+    Path(names["cell_raw"]).write_text(automata.to_json(result.cell_nfa))
+    Path(names["cell_dfa"]).write_text(automata.to_json(result.cell_dfa))
+    Path(names["cell_dfa_dot"]).write_text(automata.to_dot(result.cell_dfa))
+    if fmt == "json":
+        _print_bound(a, result, fmt, output, [*names.items(), *extra])
+    else:
+        _emit(
+            f"bound: {result.bound}\n"
+            f"witnesses: {_witness_text(a, result.witnesses)}\n"
+            f"cell automaton states: {result.cell_dfa.n_states}\n"
+            f"files: {', '.join(names.values())}\n",
+            output,
+        )
 
 
 def _cmd_bound(args) -> int:
     caps = _caps(args)
     a = _load_automaton(args.file)
     phi = weights.parse_weights(args.phi, a.alphabet)
-    result = weights.bound(a, phi, caps.cycles)
-    doc = {
-        "bound": _frac(result.bound),
-        "witnesses": [list(a.word_names(w)) for w in result.witnesses],
-    }
-    if args.format == "json":
-        _emit(_dump(doc), None)
-    else:
-        witness_text = ", ".join(_word_text(a, w) or "(empty)" for w in result.witnesses)
-        _emit(f"bound: {result.bound}\nwitnesses: {witness_text}\n", None)
+    _print_bound(a, weights.bound(a, phi, caps.cycles), args.format, None)
     return 0
-
-
-def _cell_files(a, bound_value, witnesses, cell_raw, cell_dfa, prefix: str) -> dict:
-    nfa_path = f"{prefix}-cell-raw.json"
-    dfa_path = f"{prefix}-cell-dfa.json"
-    dot_path = f"{prefix}-cell-dfa.dot"
-    Path(nfa_path).write_text(automata.to_json(cell_raw))
-    Path(dfa_path).write_text(automata.to_json(cell_dfa))
-    Path(dot_path).write_text(automata.to_dot(cell_dfa))
-    return {
-        "bound": _frac(bound_value),
-        "witnesses": [list(a.word_names(w)) for w in witnesses],
-        "cell_raw": nfa_path,
-        "cell_dfa": dfa_path,
-        "cell_dfa_dot": dot_path,
-    }
 
 
 def _cmd_cell(args) -> int:
@@ -286,18 +295,7 @@ def _cmd_cell(args) -> int:
     a = _load_automaton(args.file)
     phi = weights.parse_weights(args.phi, a.alphabet)
     result = weights.cell_automaton(a, phi, caps.cycles)
-    prefix = args.out_prefix or Path(args.file).stem
-    doc = _cell_files(a, result.bound, result.witnesses, result.cell_nfa, result.cell_dfa, prefix)
-    if args.format == "json":
-        _emit(_dump(doc), None)
-    else:
-        _emit(
-            f"bound: {result.bound}\n"
-            f"witnesses: {', '.join(_word_text(a, w) or '(empty)' for w in result.witnesses)}\n"
-            f"cell automaton states: {result.cell_dfa.n_states}\n"
-            f"files: {doc['cell_raw']}, {doc['cell_dfa']}, {doc['cell_dfa_dot']}\n",
-            None,
-        )
+    _print_cell(a, result, args.format, None, args.out_prefix or Path(args.file).stem)
     return 0
 
 
@@ -317,12 +315,8 @@ def _cmd_coxeter(args) -> int:
         return 0
     if args.subcommand == "cone":
         a = coxeter.language_automaton(sys_, args.lang, caps.states, caps.roots)
-        letter_doc = _cone_document(a, caps)
-        classes = coxeter.weight_classes(sys_)
-        raw = cones.HRep(len(a.alphabet), tuple(weights.boundedness_cone_vectors(a, caps.cycles)))
-        projected = cones.project_parameters(raw, [list(g) for g in classes])
-        irred = cones.remove_redundant(projected)
-        vrep = cones.extreme_rays(irred, caps.rays)
+        letter_doc, raw = _cone_document(a, caps)
+        classes, projected, irred, vrep = _class_cone(sys_, raw, caps)
         doc = {
             "letters": letter_doc,
             "parameters": {
@@ -345,62 +339,23 @@ def _cmd_coxeter(args) -> int:
                 None,
             )
         return 0
-    if args.subcommand == "bound":
+    if args.subcommand in ("bound", "cell"):
         phi = weights.parse_weights(args.phi, sys_.generators)
         result = coxeter.group_cell(sys_, phi, args.lang, caps.states, caps.cycles, caps.roots)
-        a = coxeter.language_automaton(sys_, args.lang, caps.states, caps.roots)
-        doc = {
-            "bound": _frac(result.bound),
-            "witnesses": [list(a.word_names(w)) for w in result.witnesses],
-            "X_size": len(result.X),
-            "Y_size": len(result.Y),
-        }
-        _emit(_dump(doc) if args.format == "json" else (
-            f"bound: {result.bound}\n"
-            f"witnesses: {', '.join(_word_text(a, w) or '(empty)' for w in result.witnesses)}\n"
-        ), args.output)
-        return 0
-    if args.subcommand == "cell":
-        phi = weights.parse_weights(args.phi, sys_.generators)
-        result = coxeter.group_cell(sys_, phi, args.lang, caps.states, caps.cycles, caps.roots)
-        a = coxeter.language_automaton(sys_, args.lang, caps.states, caps.roots)
-        prefix = args.out_prefix or Path(args.file).stem
-        doc = _cell_files(
-            a, result.bound, result.witnesses, result.cell_nfa, result.cell_dfa, prefix
-        )
-        doc["X_size"] = len(result.X)
-        doc["Y_size"] = len(result.Y)
-        if args.format == "json":
-            _emit(_dump(doc), args.output)
+        sizes = [("X_size", len(result.X)), ("Y_size", len(result.Y))]
+        if args.subcommand == "bound":
+            _print_bound(result.cell_dfa, result, args.format, args.output, sizes)
         else:
-            _emit(
-                f"bound: {result.bound}\n"
-                f"witnesses: {', '.join(_word_text(a, w) or '(empty)' for w in result.witnesses)}\n"
-                f"cell automaton states: {result.cell_dfa.n_states}\n"
-                f"files: {doc['cell_raw']}, {doc['cell_dfa']}, {doc['cell_dfa_dot']}\n",
-                args.output,
-            )
+            prefix = args.out_prefix or Path(args.file).stem
+            _print_cell(result.cell_dfa, result, args.format, args.output, prefix, sizes)
         return 0
     if args.subcommand == "probe-spherical":
         return _cmd_probe(args, sys_, caps)
     raise InputError(f"unknown coxeter subcommand {args.subcommand!r}")
 
 
-def _parse_params(text: str) -> dict[str, Fraction]:
-    out = {}
-    for item in filter(None, (part.strip() for part in text.split(","))):
-        key, sep, raw = item.partition("=")
-        if not sep:
-            raise InputError(f"bad parameter {item!r}")
-        try:
-            out[key.strip()] = Fraction(raw.strip())
-        except (ValueError, ZeroDivisionError):
-            raise InputError(f"bad rational literal {raw.strip()!r}") from None
-    return out
-
-
 def _cmd_closed_form(args) -> int:
-    params = _parse_params(args.phi)
+    params = dict(weights.assignments(args.phi))
 
     def need(*names):
         missing = [k for k in names if k not in params]
@@ -425,7 +380,7 @@ def _cmd_closed_form(args) -> int:
         if not args.file:
             raise InputError("closed-form nonneg needs --file with a Coxeter matrix")
         sys_ = coxeter.system_from_json(_read(args.file))
-        result = spherical_nonneg(sys_, {k: v for k, v in params.items()})
+        result = spherical_nonneg(sys_, params)
     else:  # affine families
         need("a", "b")
         spec = affine_cone(
@@ -438,10 +393,10 @@ def _cmd_closed_form(args) -> int:
         doc = {
             "family": spec.family,
             "rank": spec.rank,
-            "params": [_frac(v) for v in spec.params],
+            "params": [str(v) for v in spec.params],
             "normals": [list(v) for v in spec.normals],
             "all_normals": [list(v) for v in spec.all_normals],
-            "rho": None if spec.rho is None else [_frac(v) for v in spec.rho],
+            "rho": None if spec.rho is None else [str(v) for v in spec.rho],
             "rho_basis": spec.rho_basis,
         }
         if args.format == "json":
@@ -454,7 +409,7 @@ def _cmd_closed_form(args) -> int:
             )
         return 0
     doc = {
-        "bound": _frac(result.bound),
+        "bound": str(result.bound),
         "cell": None if result.cell is None else list(result.cell_texts()),
     }
     if args.format == "json":
@@ -471,15 +426,9 @@ def _cmd_probe(args, sys_, caps: Caps) -> int:
     """Sample bounded weight functions and report whether some witness lies
     in a finite standard parabolic subgroup.  Reports only; asserts nothing."""
     a = coxeter.language_automaton(sys_, args.lang, caps.states, caps.roots)
-    classes = coxeter.weight_classes(sys_)
-    raw_vectors = weights.boundedness_cone_vectors(a, caps.cycles)
-    if raw_vectors:
-        raw = cones.HRep(len(a.alphabet), tuple(raw_vectors))
-        projected = cones.remove_redundant(
-            cones.project_parameters(raw, [list(g) for g in classes])
-        )
-        vrep = cones.extreme_rays(projected, caps.rays)
-    else:
+    raw = cones.HRep(len(a.alphabet), tuple(weights.boundedness_cone_vectors(a, caps.cycles)))
+    classes, _, _, vrep = _class_cone(sys_, raw, caps)
+    if not raw.normals:  # a finite language: every sample is the zero weight
         vrep = cones.VRep(len(classes), (), ())
     rng = random.Random(args.seed)
     samples = []
@@ -505,8 +454,8 @@ def _cmd_probe(args, sys_, caps: Caps) -> int:
             )
         samples.append(
             {
-                "phi": {name: _frac(assignment[name]) for name in sys_.generators},
-                "bound": _frac(result.bound),
+                "phi": {name: str(assignment[name]) for name in sys_.generators},
+                "bound": str(result.bound),
                 "witnesses": witness_info,
                 "some_witness_in_finite_parabolic": any(
                     w["finite_parabolic_support"] for w in witness_info
@@ -553,9 +502,6 @@ def main(argv=None) -> int:
         if args.command == "coxeter":
             return _cmd_coxeter(args)
         raise InputError(f"unknown command {args.command!r}")
-    except UnboundedError as exc:
-        _sys.stderr.write(_dump(_error_doc(exc)))
-        return exc.exit_code
     except (InputError, ResourceLimitError, PreconditionError) as exc:
         _sys.stderr.write(_dump(_error_doc(exc)))
         return exc.exit_code

@@ -1,5 +1,6 @@
 """Exact rational polyhedral cones: H-representation from circuit letter
-counts, irredundancy via exact LP, and extreme rays via double description.
+counts, and one double-description engine for extreme rays, irredundancy
+and containment.
 
 Cones are homogeneous: an HRep is a list of primitive integer normals n
 meaning <n, phi> <= 0; a VRep is an integer lineality basis plus primitive
@@ -16,6 +17,7 @@ from fractions import Fraction
 from . import limits
 from .cyclo import primitive_vector
 from .errors import InputError, ResourceLimitError
+from .weights import distinct_count_vectors
 
 __all__ = [
     "HRep",
@@ -41,16 +43,13 @@ class HRep:
     normals: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        seen = []
         for n in self.normals:
             if len(n) != self.dim:
                 raise InputError("normal has wrong dimension")
             if not any(n):
                 raise InputError("zero vector is not a valid inequality normal")
-            p = primitive_vector(n)
-            if p not in seen:
-                seen.append(p)
-        object.__setattr__(self, "normals", tuple(seen))
+        distinct = dict.fromkeys(map(primitive_vector, self.normals))
+        object.__setattr__(self, "normals", tuple(distinct))
 
 
 @dataclass(frozen=True)
@@ -65,101 +64,50 @@ class VRep:
 def cone_from_circuits(cycles, alphabet) -> HRep:
     """H-representation from simple cycles: deduplicated primitive letter-count
     vectors, first-occurrence order."""
-    dim = len(alphabet)
-    normals = []
-    for cycle in cycles:
-        counts = cycle.count_vector(dim)
-        p = primitive_vector(counts)
-        if p not in normals:
-            normals.append(p)
-    return HRep(dim, tuple(normals))
+    return HRep(len(alphabet), tuple(distinct_count_vectors(cycles, len(alphabet))))
 
 
-# ---------------------------------------------------------------------------
-# Exact rational simplex (Bland's rule)
-# ---------------------------------------------------------------------------
+def remove_redundant(h: HRep, max_rays: int = limits.MAX_RAYS) -> HRep:
+    """Minimal sub-list defining the same cone, input order preserved.
 
-_UNBOUNDED = object()
-
-
-def _lp_max(c, rows, rhs):
-    """max c.x subject to rows.x <= rhs, x free; rhs must be >= 0.
-
-    Returns the optimum as a Fraction, or the _UNBOUNDED sentinel.  Free
-    variables are split (x = u - v) and slacks added, so the origin is a
-    basic feasible start; Bland's rule guarantees termination.
-    """
-    m, n = len(rows), len(c)
-    if any(b < 0 for b in rhs):
-        raise InputError("simplex entry requires non-negative right-hand sides")
-    width = 2 * n + m
-    tableau = []
-    for i in range(m):
-        row = [Fraction(v) for v in rows[i]]
-        line = row + [-v for v in row] + [Fraction(0)] * m + [Fraction(rhs[i])]
-        line[2 * n + i] = Fraction(1)
-        tableau.append(line)
-    # objective row holds -c so that a negative entry means "can improve"
-    obj = [Fraction(-v) for v in c] + [Fraction(v) for v in c] + [Fraction(0)] * (m + 1)
-    basis = [2 * n + i for i in range(m)]
-
-    while True:
-        enter = next((j for j in range(width) if obj[j] < 0), None)
-        if enter is None:
-            return obj[width]
-        ratios = [
-            (tableau[i][width] / tableau[i][enter], basis[i], i)
-            for i in range(m)
-            if tableau[i][enter] > 0
-        ]
-        if not ratios:
-            return _UNBOUNDED
-        _, _, pivot_row = min(ratios)
-        pivot = tableau[pivot_row][enter]
-        tableau[pivot_row] = [v / pivot for v in tableau[pivot_row]]
-        for i in range(m):
-            if i != pivot_row and tableau[i][enter]:
-                f = tableau[i][enter]
-                tableau[i] = [
-                    a - f * b for a, b in zip(tableau[i], tableau[pivot_row])
-                ]
-        if obj[enter]:
-            f = obj[enter]
-            obj = [a - f * b for a, b in zip(obj, tableau[pivot_row])]
-        basis[pivot_row] = enter
-
-
-def _is_implied(normal, others) -> bool:
-    """True iff <normal, x> <= 0 holds on the cone cut out by `others`.
-
-    LP: maximize <normal, x> subject to the other inequalities and the cap
-    <normal, x> <= 1; the inequality is implied iff the optimum is <= 0.
-    """
-    rows = [list(o) for o in others] + [list(normal)]
-    rhs = [Fraction(0)] * len(others) + [Fraction(1)]
-    value = _lp_max(list(normal), rows, rhs)
-    return value is not _UNBOUNDED and value <= 0
-
-
-def remove_redundant(h: HRep) -> HRep:
-    """Minimal sub-list defining the same cone, input order preserved."""
+    One double description of the whole list decides every normal when the
+    cone is full-dimensional (its rays and lineality span the space): then
+    the facets are exactly the normals whose tight generators have rank
+    dim - 1, and no other normal is needed.  A lower-dimensional cone (only
+    reachable through the API: circuit-count normals are non-negative)
+    drops normals greedily, each implied by the ones still kept."""
+    v = extreme_rays(h, max_rays)
+    if len(_rref(v.lineality + v.rays)) == h.dim:
+        return HRep(h.dim, tuple(n for n in h.normals if len(_rref(_tight(v, n))) == h.dim - 1))
     kept = list(h.normals)
     i = 0
     while i < len(kept):
-        candidate = kept[i]
         rest = kept[:i] + kept[i + 1 :]
-        if rest and _is_implied(candidate, rest):
+        if rest and _satisfies(extreme_rays(HRep(h.dim, tuple(rest)), max_rays), kept[i]):
             kept.pop(i)
         else:
             i += 1
     return HRep(h.dim, tuple(kept))
 
 
+def _tight(v: VRep, normal) -> tuple[tuple[int, ...], ...]:
+    """The lineality basis and the rays on the hyperplane <normal, x> = 0."""
+    return v.lineality + tuple(r for r in v.rays if _dot(normal, r) == 0)
+
+
+def _satisfies(v: VRep, normal) -> bool:
+    """True iff <normal, x> <= 0 on span(v.lineality) + cone(v.rays)."""
+    return all(_dot(normal, r) <= 0 for r in v.rays) and all(
+        _dot(normal, l) == 0 for l in v.lineality
+    )
+
+
 def implies(h1: HRep, h2: HRep) -> bool:
     """True iff cone(h1) is contained in cone(h2) (h1's inequalities imply h2's)."""
     if h1.dim != h2.dim:
         raise InputError("dimension mismatch")
-    return all(_is_implied(n, h1.normals) for n in h2.normals)
+    v = extreme_rays(h1)
+    return all(_satisfies(v, n) for n in h2.normals)
 
 
 def same_cone(h1: HRep, h2: HRep) -> bool:
@@ -184,8 +132,9 @@ def _point_vector(h: HRep, point):
     return vec
 
 
-def _dot(a, b) -> Fraction:
-    return sum((Fraction(x) * y for x, y in zip(a, b)), Fraction(0))
+def _dot(a, b):
+    """Exact inner product: an int for integer vectors, else a Fraction."""
+    return sum(x * y for x, y in zip(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +142,9 @@ def _dot(a, b) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _rank(rows) -> int:
+def _rref(rows) -> list[list[Fraction]]:
+    """The non-zero rows of the reduced row-echelon form of `rows` over Q:
+    their number is the rank, and they are a canonical basis of the span."""
     mat = [[Fraction(v) for v in row] for row in rows]
     rank, col, n_cols = 0, 0, (len(rows[0]) if rows else 0)
     while rank < len(mat) and col < n_cols:
@@ -210,29 +161,7 @@ def _rank(rows) -> int:
                 mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
         rank += 1
         col += 1
-    return rank
-
-
-def _canonical_basis(rows) -> tuple[tuple[int, ...], ...]:
-    """Reduced row-echelon basis of the row span, scaled to primitive ints."""
-    mat = [[Fraction(v) for v in row] for row in rows]
-    n_cols = len(rows[0]) if rows else 0
-    rank, col = 0, 0
-    while rank < len(mat) and col < n_cols:
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [v * inv for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-        col += 1
-    return tuple(primitive_vector(row) for row in mat[:rank] if any(row))
+    return mat[:rank]
 
 
 def extreme_rays(h: HRep, max_rays: int = limits.MAX_RAYS) -> VRep:
@@ -251,27 +180,18 @@ def extreme_rays(h: HRep, max_rays: int = limits.MAX_RAYS) -> VRep:
         pivot_line = next((l for l in lines if _dot(normal, l) != 0), None)
         if pivot_line is not None:
             alpha = _dot(normal, pivot_line)
-            new_lines = []
-            for l in lines:
-                if l is pivot_line:
-                    continue
-                beta = _dot(normal, l)
-                new_lines.append(
-                    primitive_vector(
-                        tuple(Fraction(x) - beta / alpha * y for x, y in zip(l, pivot_line))
-                    )
+            sign = 1 if alpha > 0 else -1
+
+            def project(v):
+                """v - <normal, v> / alpha * pivot_line, scaled by |alpha|."""
+                beta = _dot(normal, v)
+                return primitive_vector(
+                    tuple(sign * (alpha * x - beta * y) for x, y in zip(v, pivot_line))
                 )
-            new_rays = []
-            for r in rays:
-                beta = _dot(normal, r)
-                new_rays.append(
-                    primitive_vector(
-                        tuple(Fraction(x) - beta / alpha * y for x, y in zip(r, pivot_line))
-                    )
-                )
+
             oriented = pivot_line if alpha < 0 else tuple(-v for v in pivot_line)
-            lines = new_lines
-            rays = _dedupe(new_rays + [oriented])
+            lines = [project(l) for l in lines if l is not pivot_line]
+            rays = _dedupe([project(r) for r in rays] + [oriented])
         else:
             plus = [r for r in rays if _dot(normal, r) > 0]
             zero = [r for r in rays if _dot(normal, r) == 0]
@@ -292,7 +212,7 @@ def extreme_rays(h: HRep, max_rays: int = limits.MAX_RAYS) -> VRep:
 
     return VRep(
         dim,
-        _canonical_basis(lines) if lines else (),
+        tuple(primitive_vector(row) for row in _rref(lines)),
         tuple(sorted(_dedupe(rays))),
     )
 
@@ -313,7 +233,7 @@ def _adjacent(r1, r2, processed, quotient_dim) -> bool:
         return True
     if len(common) < quotient_dim - 2:
         return False
-    return _rank(common) == quotient_dim - 2
+    return len(_rref(common)) == quotient_dim - 2
 
 
 def facets(v: VRep, max_rays: int = limits.MAX_RAYS) -> HRep:
@@ -345,15 +265,8 @@ def project_parameters(h: HRep, groups) -> HRep:
     flat = [i for g in groups for i in g]
     if sorted(flat) != list(range(h.dim)):
         raise InputError("groups must partition the coordinate indices")
-    normals = []
-    for n in h.normals:
-        folded = tuple(sum(n[i] for i in g) for g in groups)
-        if not any(folded):
-            continue
-        p = primitive_vector(folded)
-        if p not in normals:
-            normals.append(p)
-    return HRep(len(groups), tuple(normals))
+    folded = (tuple(sum(n[i] for i in g) for g in groups) for n in h.normals)
+    return HRep(len(groups), tuple(f for f in folded if any(f)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Default resource caps and the WEIGHTCELL_CAPS environment fallback.
 
 Every potentially explosive operation takes an explicit cap argument whose
-default comes from here.  The environment variable WEIGHTCELL_CAPS accepts a
-comma-separated list like "states=500000,cycles=20000" and overrides the
-defaults process-wide; CLI flags override both.
+default comes from here.  Only the command line reads the environment
+variable WEIGHTCELL_CAPS (a comma-separated list like
+"states=500000,cycles=20000", parsed by `Caps.from_env`) and passes its
+values to the library; CLI flags override it.
 """
 
 from __future__ import annotations

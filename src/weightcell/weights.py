@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import lcm
 
 from . import limits
 from .automata import Automaton, Word, determinize, is_trim, minimize, trim
@@ -73,39 +74,58 @@ class WeightVector:
     def as_dict(self) -> dict[str, Fraction]:
         return dict(zip(self.alphabet, self.values))
 
+    @cached_property
+    def _integral(self) -> tuple[tuple[int, ...], int]:
+        """(numerators, denominator): the values over their least common
+        denominator."""
+        denominator = lcm(*(v.denominator for v in self.values))
+        scale = [denominator // v.denominator for v in self.values]
+        return tuple(v.numerator * k for v, k in zip(self.values, scale)), denominator
 
-def parse_weights(text: str, alphabet) -> WeightVector:
-    """Parse "s=1,t=2,u=-5" (rational literals like "1/2" allowed)."""
-    mapping: dict[str, Fraction] = {}
+
+def assignments(text: str):
+    """The (name, value) pairs of "s=1,t=2,u=-5" in order (rational literals
+    like "1/2" allowed)."""
     for item in filter(None, (part.strip() for part in text.split(","))):
         name, sep, raw = item.partition("=")
         if not sep:
             raise InputError(f"bad weight assignment {item!r} (expected letter=value)")
-        name = name.strip()
-        if name in mapping:
-            raise InputError(f"duplicate weight for letter {name!r}")
         try:
-            mapping[name] = Fraction(raw.strip())
+            value = Fraction(raw.strip())
         except (ValueError, ZeroDivisionError):
             raise InputError(f"bad rational literal {raw.strip()!r}") from None
+        yield name.strip(), value
+
+
+def parse_weights(text: str, alphabet) -> WeightVector:
+    """Parse "s=1,t=2,u=-5"; each letter at most once."""
+    mapping: dict[str, Fraction] = {}
+    for name, value in assignments(text):
+        if name in mapping:
+            raise InputError(f"duplicate weight for letter {name!r}")
+        mapping[name] = value
     return WeightVector.from_mapping(tuple(alphabet), mapping)
 
 
 def weight_of_word(phi: WeightVector, w: Word) -> Fraction:
-    """Sum of letter weights; additive over concatenation by construction."""
-    total = Fraction(0)
-    for letter in w:
-        if not (0 <= letter < len(phi.values)):
-            raise InputError("word letter outside the weight vector's alphabet")
-        total += phi.values[letter]
-    return total
+    """Letter counts times letter weights (additive over concatenation), as
+    one integer dot product over the weights' common denominator."""
+    numerators, denominator = phi._integral
+    counts = _count_vector(w, len(numerators))
+    return Fraction(sum(c * n for c, n in zip(counts, numerators)), denominator)
 
 
 def _count_vector(w: Word, n_letters: int) -> tuple[int, ...]:
-    counts = [0] * n_letters
-    for letter in w:
-        counts[letter] += 1
-    return tuple(counts)
+    counts = tuple(map(w.count, range(n_letters)))
+    if sum(counts) != len(w):
+        raise InputError("word letter outside the weight vector's alphabet")
+    return counts
+
+
+def distinct_count_vectors(cycles, n_letters: int) -> list[tuple[int, ...]]:
+    """Letter-count vectors of `cycles`, duplicates dropped, first-occurrence
+    order."""
+    return list(dict.fromkeys(cycle.count_vector(n_letters) for cycle in cycles))
 
 
 # ---------------------------------------------------------------------------
@@ -152,55 +172,61 @@ def simple_cycles(a: Automaton, max_cycles: int = limits.MAX_CYCLES) -> list[Sim
     if not is_trim(a):
         raise InputError("simple_cycles requires a trimmed automaton")
     adjacency: list[list[tuple[int, int]]] = [[] for _ in range(a.n_states)]
+    predecessors: list[list[int]] = [[] for _ in range(a.n_states)]
     for src, letter, dst in a.transitions:
         adjacency[src].append((dst, letter))
+        predecessors[dst].append(src)
     for edges in adjacency:
         edges.sort(key=lambda e: (e[1], e[0]))
 
     out: list[SimpleCycle] = []
 
-    # Johnson's algorithm, restricted for each root to vertices >= root so
-    # every circuit is found exactly once, based at its least state.
+    # Johnson's algorithm, restricted for each root to the states > root that
+    # can reach root through such states, so every circuit is found exactly
+    # once, based at its least state, and no dead end is walked.  The search
+    # keeps its own stack of [state, edge iterator, found] frames (no
+    # recursion), visiting edges in the same order as the recursive form.
     for root in range(a.n_states):
-        blocked: set[int] = set()
+        live, todo = {root}, [root]
+        while todo:
+            for p in predecessors[todo.pop()]:
+                if p > root and p not in live:
+                    live.add(p)
+                    todo.append(p)
+        blocked: set[int] = {root}
         block_map: dict[int, set[int]] = {}
         path: list[tuple[int, int]] = []
-
-        def unblock(v: int):
-            stack = [v]
-            while stack:
-                u = stack.pop()
-                if u in blocked:
-                    blocked.discard(u)
-                    stack.extend(block_map.pop(u, ()))
-
-        def circuit(v: int) -> bool:
-            found = False
-            blocked.add(v)
-            for dst, letter in adjacency[v]:
-                if dst < root:
-                    continue
+        stack = [[root, iter(adjacency[root]), False]]
+        while stack:
+            frame = stack[-1]
+            v = frame[0]
+            for dst, letter in frame[1]:
                 if dst == root:
-                    path.append((v, letter))
-                    out.append(SimpleCycle(root, tuple(path)))
+                    out.append(SimpleCycle(root, tuple(path) + ((v, letter),)))
                     if len(out) > max_cycles:
                         raise ResourceLimitError("simple cycles", max_cycles)
-                    path.pop()
-                    found = True
-                elif dst not in blocked:
+                    frame[2] = True
+                elif dst in live and dst not in blocked:
                     path.append((v, letter))
-                    if circuit(dst):
-                        found = True
-                    path.pop()
-            if found:
-                unblock(v)
+                    blocked.add(dst)
+                    stack.append([dst, iter(adjacency[dst]), False])
+                    break
             else:
-                for dst, _ in adjacency[v]:
-                    if dst >= root:
-                        block_map.setdefault(dst, set()).add(v)
-            return found
-
-        circuit(root)
+                stack.pop()
+                if frame[2]:
+                    unblock = [v]
+                    while unblock:
+                        u = unblock.pop()
+                        if u in blocked:
+                            blocked.discard(u)
+                            unblock.extend(block_map.pop(u, ()))
+                else:
+                    for dst, _ in adjacency[v]:
+                        if dst in live:
+                            block_map.setdefault(dst, set()).add(v)
+                if stack:
+                    path.pop()
+                    stack[-1][2] |= frame[2]
     return out
 
 
@@ -239,23 +265,25 @@ def circuit_free_words(a: Automaton, strict_graph_sense: bool = False) -> list[W
     for edges in adjacency:
         edges.sort()
 
-    words: list[Word] = []
+    words: list[Word] = [()] if a.start in a.accept else []
     visited: set[int] = {a.start} if strict_graph_sense else set()
     word: list[int] = []
-
-    def walk(state: int):
-        if state in a.accept:
-            words.append(tuple(word))
-        for letter, dst in adjacency[state]:
-            if dst in visited:
-                continue
-            visited.add(dst)
-            word.append(letter)
-            walk(dst)
-            word.pop()
-            visited.discard(dst)
-
-    walk(a.start)
+    stack = [(a.start, iter(adjacency[a.start]))]  # depth-first, no recursion
+    while stack:
+        state, edges = stack[-1]
+        for letter, dst in edges:
+            if dst not in visited:
+                visited.add(dst)
+                word.append(letter)
+                if dst in a.accept:
+                    words.append(tuple(word))
+                stack.append((dst, iter(adjacency[dst])))
+                break
+        else:
+            stack.pop()
+            if stack:
+                visited.discard(state)
+                word.pop()
     return sorted(words, key=lambda w: (len(w), w))
 
 
@@ -301,26 +329,10 @@ def is_bounded(
 ) -> BoundednessReport:
     """Bounded iff every simple circuit has weight <= 0."""
     _check_weights(a, phi)
-    d = prepared(a)
-    cycles = simple_cycles(d, max_cycles)
-    n_letters = len(a.alphabet)
-    seen: list[tuple[int, ...]] = []
-    violating = None
-    for cycle in cycles:
-        counts = cycle.count_vector(n_letters)
-        if counts not in seen:
-            seen.append(counts)
-        if violating is None:
-            weight = sum(
-                (c * phi.values[i] for i, c in enumerate(counts)), Fraction(0)
-            )
-            if weight > 0:
-                violating = cycle
-    return BoundednessReport(violating is None, violating, tuple(seen))
-
-
-def _cycle_weight(phi: WeightVector, cycle: SimpleCycle) -> Fraction:
-    return weight_of_word(phi, cycle.word())
+    cycles = simple_cycles(prepared(a), max_cycles)
+    violating = next((c for c in cycles if weight_of_word(phi, c.word()) > 0), None)
+    inequalities = tuple(distinct_count_vectors(cycles, len(a.alphabet)))
+    return BoundednessReport(violating is None, violating, inequalities)
 
 
 def bound(
@@ -356,44 +368,36 @@ def bound(
 
 def _extremal_path_weights(d: Automaton, phi: WeightVector):
     """(maxhead, maxtail): the maximum path weight from the start to each
-    state, and from each state to an accept state.
+    state, and from each state to an accept state (a forward relaxation on
+    the reversed edges).
 
-    Exact Bellman-Ford relaxation; well defined on a trimmed automaton whose
-    simple circuits all have weight <= 0 (no positive cycles), where the
-    maxima are attained within n_states - 1 edges."""
-    n = d.n_states
-    maxhead: list[Fraction | None] = [None] * n
-    maxhead[d.start] = Fraction(0)
-    for round_ in range(n + 1):
-        changed = False
-        for src, letter, dst in d.transitions:
-            if maxhead[src] is None:
-                continue
-            cand = maxhead[src] + phi.values[letter]
-            if maxhead[dst] is None or cand > maxhead[dst]:
-                maxhead[dst] = cand
-                changed = True
-        if not changed:
-            break
-    else:
-        raise InputError("positive-weight circuit detected during path relaxation")
-    maxtail: list[Fraction | None] = [None] * n
-    for q in d.accept:
-        maxtail[q] = Fraction(0)
-    for round_ in range(n + 1):
-        changed = False
-        for src, letter, dst in d.transitions:
-            if maxtail[dst] is None:
-                continue
-            cand = phi.values[letter] + maxtail[dst]
-            if maxtail[src] is None or cand > maxtail[src]:
-                maxtail[src] = cand
-                changed = True
-        if not changed:
-            break
-    else:
-        raise InputError("positive-weight circuit detected during path relaxation")
+    Well defined on a trimmed automaton whose simple circuits all have
+    weight <= 0 (no positive cycles), where the maxima are attained within
+    n_states - 1 edges."""
+    forward = [(src, phi.values[letter], dst) for src, letter, dst in d.transitions]
+    maxhead = _relax(d.n_states, [d.start], forward)
+    maxtail = _relax(d.n_states, d.accept, [(dst, w, src) for src, w, dst in forward])
     return maxhead, maxtail
+
+
+def _relax(n: int, sources, edges) -> list[Fraction | None]:
+    """Exact Bellman-Ford: the maximum weight of a path from `sources` to
+    each of the n states over `edges` (src, weight, dst); None if none."""
+    best: list[Fraction | None] = [None] * n
+    for q in sources:
+        best[q] = Fraction(0)
+    for _ in range(n + 1):
+        changed = False
+        for src, w, dst in edges:
+            if best[src] is None:
+                continue
+            cand = best[src] + w
+            if best[dst] is None or cand > best[dst]:
+                best[dst] = cand
+                changed = True
+        if not changed:
+            return best
+    raise InputError("positive-weight circuit detected during path relaxation")
 
 
 def cell_automaton(
@@ -463,7 +467,7 @@ def strictly_negative_cell(
     _check_weights(a, phi)
     d = prepared(a)
     for cycle in simple_cycles(d, max_cycles):
-        w = _cycle_weight(phi, cycle)
+        w = weight_of_word(phi, cycle.word())
         if w > 0:
             raise UnboundedError(
                 "weight function is unbounded on the language",
@@ -483,11 +487,4 @@ def boundedness_cone_vectors(
 ) -> list[tuple[int, ...]]:
     """Deduplicated letter-count vectors of the simple circuits (the raw
     inequality normals of the boundedness cone), first-occurrence order."""
-    d = prepared(a)
-    n_letters = len(a.alphabet)
-    seen: list[tuple[int, ...]] = []
-    for cycle in simple_cycles(d, max_cycles):
-        counts = cycle.count_vector(n_letters)
-        if counts not in seen:
-            seen.append(counts)
-    return seen
+    return distinct_count_vectors(simple_cycles(prepared(a), max_cycles), len(a.alphabet))

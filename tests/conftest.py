@@ -186,6 +186,14 @@ def triangle_246_shortlex_automaton() -> Automaton:
     return Automaton(("s", "t", "u"), 13, 0, frozenset(range(13)), tuple(edges))
 
 
+def single_cycle_automaton(n: int) -> Automaton:
+    """s^(n-1) from state 0 to the accept state n-1, then t back to 0: one
+    circuit through n states, deeper than Python's default recursion limit
+    for n in the thousands."""
+    edges = tuple((q, 0, q + 1) for q in range(n - 1)) + ((n - 1, 1, 0),)
+    return Automaton(("s", "t"), n, 0, frozenset({n - 1}), edges)
+
+
 def random_automaton(rng: random.Random, max_states: int = 5, n_letters: int = 2) -> Automaton:
     n = rng.randint(1, max_states)
     edges = set()

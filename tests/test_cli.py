@@ -9,6 +9,7 @@ from weightcell.cli import main
 
 from conftest import (
     dihedral_reduced_words_automaton,
+    single_cycle_automaton,
     triangle_246_shortlex_automaton,
     triangle_333_shortlex_automaton,
 )
@@ -148,6 +149,20 @@ class TestConeBoundCell:
         dfa = from_json((tmp_path / "out-cell-dfa.json").read_text())
         assert dfa.n_states == 2
         assert (tmp_path / "out-cell-dfa.dot").read_text().startswith("digraph")
+
+    def test_deep_cycle_has_no_recursion_limit(self, capsys, tmp_path):
+        # one circuit through 3,000 states: the circuit and circuit-free word
+        # searches must not recurse once per state
+        path = tmp_path / "cycle3000.json"
+        path.write_text(to_json(single_cycle_automaton(3000)))
+        code, out, err = run(capsys, "bound", str(path), "--phi", "s=-1,t=1")
+        assert (code, err) == (0, "")
+        assert out == f"bound: -2999\nwitnesses: {'s' * 2999}\n"
+        code, out, err = run(capsys, "cone", str(path), "--format", "json")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["raw_normals"] == doc["normals"] == [[2999, 1]]
+        assert doc["lineality"] == [[1, -2999]] and doc["rays"] == [[-1, 0]]
 
     def test_bad_phi_exit_2(self, capsys, fig246_file):
         code, _, err = run(capsys, "bound", fig246_file, "--phi", "s=1")

@@ -1,10 +1,14 @@
-"""Cone-geometry tests: H-reps from circuits, redundancy removal via exact LP,
-extreme rays via double description, and the dual round trip."""
+"""Cone-geometry tests: H-reps from circuits, redundancy removal and
+containment read off the double description, extreme rays, and the dual
+round trip."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weightcell.cones import (
     HRep,
@@ -12,6 +16,7 @@ from weightcell.cones import (
     contains,
     extreme_rays,
     facets,
+    implies,
     interior,
     project_parameters,
     remove_redundant,
@@ -207,3 +212,103 @@ class TestProjectParameters:
         h = HRep(2, ((1, -1),))
         p = project_parameters(h, [[0, 1]])
         assert p.normals == ()
+
+
+# ---------------------------------------------------------------------------
+# Differential oracle: the double-description engine against brute force
+# ---------------------------------------------------------------------------
+
+BOX = 8
+"""Half-width of the integer box the reference searches.
+
+Let C = {x : Ax <= 0} with A's entries in [-2, 2] and dim d <= 3, and let
+<n, x> > 0 for some x in C.  The polytope C intersected with the cube
+[-1, 1]^d then attains max <n, x> > 0 at a vertex v: the unique solution of
+d independent tight constraints, rows of A (right-hand side 0) and cube rows
+x_j = +-1.  By Cramer's rule |det M| v has integer entries det(M_i), where
+M_i is M with column i replaced by the right-hand side b.  v != 0, so some
+row is a cube row; every row of A has a 0 in column i of M_i, so expanding
+along that column bounds |det(M_i)| by a (d-1)-minor of at most d-1 rows of
+A (<= 2*2 + 2*2 = 8 for d = 3, <= 2 for d = 2) or by a sum of at most two
+entries of one row of A (<= 4), and by 1 for d = 1.  So |det M| v is an
+integer point of C in [-8, 8]^d with <n, x> > 0: an implication fails iff
+the box holds a witness."""
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _box(dim):
+    return list(itertools.product(range(-BOX, BOX + 1), repeat=dim))
+
+
+def _reference_implied(points, others, normal) -> bool:
+    """<normal, x> <= 0 on {x : <o, x> <= 0 for o in others}, by search."""
+    return not any(
+        _dot(normal, x) > 0 and all(_dot(o, x) <= 0 for o in others) for x in points
+    )
+
+
+def _reference_remove_redundant(h: HRep) -> tuple:
+    points = _box(h.dim)
+    kept = list(h.normals)
+    i = 0
+    while i < len(kept):
+        rest = kept[:i] + kept[i + 1 :]
+        if rest and _reference_implied(points, rest, kept[i]):
+            kept.pop(i)
+        else:
+            i += 1
+    return tuple(kept)
+
+
+def _vectors(dim, low=-2):
+    vec = st.tuples(*[st.integers(low, 2)] * dim)
+    return vec.filter(any)
+
+
+@st.composite
+def small_cones(draw):
+    """(kind, HRep): "nonneg" normals keep the cone full-dimensional (it
+    contains (-1, ..., -1) in its interior), "flat" adds the negation of the
+    first normal so the cone lies in a hyperplane, "mixed" is unconstrained."""
+    dim = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["nonneg", "mixed", "flat"]))
+    normals = draw(st.lists(_vectors(dim, 0 if kind == "nonneg" else -2), min_size=1, max_size=6))
+    if kind == "flat":
+        normals.append(tuple(-x for x in normals[0]))
+    return kind, HRep(dim, tuple(normals))
+
+
+class TestDoubleDescriptionOracle:
+    @given(small_cones())
+    @settings(max_examples=150, deadline=None)
+    def test_remove_redundant_matches_brute_force(self, case):
+        kind, h = case
+        v = extreme_rays(h)
+        if kind == "nonneg":
+            assert interior(h, (-1,) * h.dim)
+        if kind == "flat":  # every generator lies in the hyperplane
+            assert not any(_dot(h.normals[0], g) for g in v.rays + v.lineality)
+        assert remove_redundant(h).normals == _reference_remove_redundant(h)
+
+    @given(small_cones(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_implies_matches_brute_force(self, case, data):
+        _, h1 = case
+        # mostly h1's own normals (often implied), sometimes a new one
+        picks = data.draw(st.lists(st.sampled_from(h1.normals), max_size=3))
+        extra = data.draw(st.lists(_vectors(h1.dim), max_size=1))
+        h2 = HRep(h1.dim, tuple(picks + extra))
+        points = _box(h1.dim)
+        expected = all(_reference_implied(points, h1.normals, n) for n in h2.normals)
+        assert implies(h1, h2) == expected
+
+    def test_half_line_keeps_all_three(self):
+        # x = y and x + y <= 0: no normal is implied by the other two
+        flat = HRep(2, ((1, -1), (-1, 1), (1, 1)))
+        v = extreme_rays(flat)
+        assert v.lineality == () and v.rays == ((-1, -1),)
+        assert remove_redundant(flat).normals == flat.normals
+        assert _reference_remove_redundant(flat) == flat.normals

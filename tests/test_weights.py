@@ -14,6 +14,7 @@ from weightcell.automata import (
 )
 from weightcell.errors import InputError, PreconditionError, UnboundedError
 from weightcell.weights import (
+    SimpleCycle,
     WeightVector,
     bound,
     cell_automaton,
@@ -27,7 +28,7 @@ from weightcell.weights import (
     weight_of_word,
 )
 
-from conftest import random_automaton
+from conftest import random_automaton, single_cycle_automaton
 
 
 def wv(a, text):
@@ -55,6 +56,48 @@ def path_states(a, w):
 def is_circuit_free_ref(a, w):
     states = path_states(a, w)
     return len(states) == len(set(states))
+
+
+def recursive_johnson(a):
+    """Johnson's circuit search in its recursive form (the order reference)."""
+    adjacency = [[] for _ in range(a.n_states)]
+    for src, letter, dst in a.transitions:
+        adjacency[src].append((dst, letter))
+    for edges in adjacency:
+        edges.sort(key=lambda e: (e[1], e[0]))
+    out = []
+    for root in range(a.n_states):
+        blocked, block_map, path = set(), {}, []
+
+        def unblock(v):
+            if v in blocked:
+                blocked.discard(v)
+                for u in block_map.pop(v, ()):
+                    unblock(u)
+
+        def circuit(v):
+            found = False
+            blocked.add(v)
+            for dst, letter in adjacency[v]:
+                if dst < root:
+                    continue
+                if dst == root:
+                    out.append(SimpleCycle(root, tuple(path) + ((v, letter),)))
+                    found = True
+                elif dst not in blocked:
+                    path.append((v, letter))
+                    found = circuit(dst) or found
+                    path.pop()
+            if found:
+                unblock(v)
+            else:
+                for dst, _ in adjacency[v]:
+                    if dst >= root:
+                        block_map.setdefault(dst, set()).add(v)
+            return found
+
+        circuit(root)
+    return out
 
 
 def max_weight_by_enumeration(a, phi, maxlen):
@@ -102,6 +145,20 @@ class TestWeightVector:
         assert weight_of_word(phi, ex_dihedral.word("sts")) == 1
         u, v = ex_dihedral.word("st"), ex_dihedral.word("tss")
         assert weight_of_word(phi, u + v) == weight_of_word(phi, u) + weight_of_word(phi, v)
+
+    def test_matches_letter_by_letter_sum(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            values = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(3))
+            phi = WeightVector(("s", "t", "u"), values)
+            w = tuple(rng.randrange(3) for _ in range(rng.randint(0, 12)))
+            assert weight_of_word(phi, w) == sum((values[i] for i in w), Fraction(0))
+
+    def test_letter_outside_alphabet(self, ex_dihedral):
+        phi = wv(ex_dihedral, "s=1,t=-1")
+        for w in ((2,), (0, -1)):
+            with pytest.raises(InputError):
+                weight_of_word(phi, w)
 
 
 # -- simple cycles ------------------------------------------------------------
@@ -190,6 +247,24 @@ class TestSimpleCycles:
             checked += 1
         assert checked > 100
 
+    def test_order_matches_recursive_johnson(self):
+        # the search runs on an explicit stack; its output, order included,
+        # must be that of the recursive formulation kept here as reference
+        rng = random.Random(5)
+        checked = 0
+        for _ in range(200):
+            a = trim(random_automaton(rng, max_states=6, n_letters=2))
+            if not a.accept:
+                continue
+            assert simple_cycles(a) == recursive_johnson(a)
+            checked += 1
+        assert checked > 100
+
+    def test_long_cycle_needs_no_recursion(self):
+        a = single_cycle_automaton(3000)
+        (cycle,) = simple_cycles(a)
+        assert cycle.count_vector(2) == (2999, 1)
+
 
 # -- circuit-free words ---------------------------------------------------------
 
@@ -227,6 +302,10 @@ class TestCircuitFree:
     def test_requires_dfa(self, ex_cell_nfa):
         with pytest.raises(InputError):
             circuit_free_words(ex_cell_nfa)
+
+    def test_long_path_needs_no_recursion(self):
+        a = single_cycle_automaton(3000)
+        assert circuit_free_words(a) == [(0,) * 2999]
 
 
 # -- boundedness ----------------------------------------------------------------
