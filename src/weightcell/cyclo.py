@@ -5,7 +5,10 @@ module adds the single field extension needed for root coordinates of
 Coxeter systems with arbitrary finite bond labels: elements are stored as
 coefficient vectors in the power basis of x = 2cos(pi/M) modulo its minimal
 polynomial, so equality and the zero test are exact, and sign determination
-is exact via certified interval refinement around the real embedding.
+is exact via certified interval refinement around the real embedding: the
+enclosure of x comes from integer Newton steps at dyadic points, checked by
+an exact sign change of the minimal polynomial, so the module needs nothing
+beyond the standard library.
 
 `CycloReal` is the public field type, with rational coefficients.  Group
 matrices and roots of Coxeter systems lie in the ring Z[2cos(pi/M)] (the
@@ -23,9 +26,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
 
-import mpmath
-
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 
 __all__ = [
     "CycloReal",
@@ -405,39 +406,62 @@ def embed_2cos(m: int, M: int) -> CycloReal:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _generator_enclosure(M: int, prec: int) -> tuple[Fraction, Fraction]:
-    """Rational interval around 2cos(pi/M), verified by an exact sign change.
-
-    The centre comes from mpmath at `prec` bits; the half-width 2^(8-prec)
-    dwarfs mpmath's rounding error.  For degree > 1 fields the enclosure is
-    certified by checking that the minimal polynomial changes sign across it.
-    """
-    with mpmath.workprec(prec):
-        value = 2 * mpmath.cos(mpmath.pi / M)
-        centre = _mpf_to_fraction(value)
-    eps = Fraction(1, 2 ** (prec - 8))
-    lo, hi = centre - eps, centre + eps
-    poly = minimal_polynomial_of_2cos(M)
-    if len(poly) > 2 and _eval_int_poly(poly, lo) * _eval_int_poly(poly, hi) >= 0:
-        raise ArithmeticError(f"enclosure of 2cos(pi/{M}) failed certification")
-    return lo, hi
+# `int_sign` gives up, with a ResourceLimitError, past this many bits.
+MAX_SIGN_BITS = 1 << 20
 
 
-def _mpf_to_fraction(x) -> Fraction:
-    sign_bit, man, exp, _ = mpmath.mpf(x)._mpf_
-    frac = Fraction(man) * (Fraction(2) ** exp)
-    return -frac if sign_bit else frac
-
-
-def _eval_int_poly(poly, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(poly):
-        acc = acc * x + c
+def _scaled_value(poly, a: int, k: int) -> int:
+    """2^(k*deg) * poly(a / 2^k) for an integer polynomial, exactly (Horner)."""
+    acc = 0
+    for i, c in enumerate(reversed(poly)):
+        acc = acc * a + (c << (k * i))
     return acc
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
+def _generator_enclosure(M: int, prec: int) -> tuple[Fraction, Fraction]:
+    """Rational interval around x = 2cos(pi/M), at most 2^(8-prec) wide and
+    verified by an exact sign change of the minimal polynomial P.
+
+    In degree 1 the interval is the rational root itself.  Otherwise the
+    opening bracket is [2 - (355/(113 M))^2, 2]: its lower end is below x,
+    and above the next conjugate 2cos(3 pi/M) for M >= 4, so x is the only
+    root of P in it.  Above x the polynomial is positive, increasing and
+    convex (P is monic and all its roots are real), so an integer Newton
+    step from the upper end, rounded up on the grid 2^-k, stays above x,
+    and x >= hi - deg * P(hi)/P'(hi) gives the lower end.  Each level of
+    `int_sign`'s doubling ladder starts from the cached level below it,
+    whose bracket is already within the quadratic range of Newton's method.
+    The interval is returned only after the exact checks P(lo) < 0 < P(hi).
+    No float is used.
+    """
+    poly = minimal_polynomial_of_2cos(M)
+    deg = len(poly) - 1
+    if deg == 1:
+        root = Fraction(-poly[0])
+        return root, root
+    # deg guard bits bound the final Laguerre width; 2^-k < 1/M^2 keeps the
+    # rounded-down opening end above the next conjugate.
+    k = max(prec, 2 * M.bit_length()) + deg.bit_length()
+    if prec > 64:
+        start = _generator_enclosure(M, prec // 2)
+    else:
+        # 355/113 > pi, so 2 - (355/(113 M))^2 < 2 - (pi/M)^2 <= 2cos(pi/M)
+        start = (2 - Fraction(355, 113 * M) ** 2, Fraction(2))
+    lo = (start[0].numerator << k) // start[0].denominator
+    hi = -(-(start[1].numerator << k) // start[1].denominator)
+    dpoly = [i * c for i, c in enumerate(poly)][1:]
+    while hi - lo > 1 << (k - prec + 8):
+        p = _scaled_value(poly, hi, k)
+        dp = _scaled_value(dpoly, hi, k)
+        lo = max(lo, hi + (-deg * p // dp))  # hi - ceil(deg * P/P'), in units of 2^-k
+        hi -= p // dp  # the Newton point, rounded up
+    if _scaled_value(poly, lo, k) >= 0 or _scaled_value(poly, hi, k) <= 0:
+        raise ArithmeticError(f"enclosure of 2cos(pi/{M}) failed certification")
+    return Fraction(lo, 1 << k), Fraction(hi, 1 << k)
+
+
+@lru_cache(maxsize=256)
 def _power_bounds(M: int, prec: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(lo_i + hi_i) and (hi_i - lo_i) for integers lo_i <= x^i * 2^prec <= hi_i,
     x = 2cos(pi/M), i < deg.
@@ -469,7 +493,8 @@ def int_sign(M: int, coeffs) -> int:
     value lies in [C - R, C + R], with C = sum c_i (lo_i + hi_i) and
     R = sum |c_i| (hi_i - lo_i) from `_power_bounds`; the precision is
     doubled until that interval excludes zero, which terminates because a
-    nonzero algebraic number has nonzero value.  No float decides a sign.
+    nonzero algebraic number has nonzero value, or past MAX_SIGN_BITS with a
+    ResourceLimitError.  No float decides a sign.
     """
     if min(coeffs) >= 0:
         return 1 if any(coeffs) else 0
@@ -485,8 +510,8 @@ def int_sign(M: int, coeffs) -> int:
         if centre < -radius:
             return -1
         prec *= 2
-        if prec > 1 << 20:
-            raise ArithmeticError("sign determination failed to converge")
+        if prec > MAX_SIGN_BITS:
+            raise ResourceLimitError("sign precision bits", MAX_SIGN_BITS)
 
 
 def sign(x: CycloReal) -> int:

@@ -20,7 +20,8 @@ class InputError(WeightcellError):
 
 
 class ResourceLimitError(WeightcellError):
-    """A configured cap (states, cycles, rays, words, elements, roots) was hit."""
+    """A cap (states, cycles, rays, words, elements, roots, or the fixed
+    sign precision bits) was hit."""
 
     exit_code = 3
 

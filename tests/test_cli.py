@@ -1,9 +1,14 @@
 """End-to-end CLI tests: exit codes, JSON error contract, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import weightcell
 from weightcell.automata import equivalent, from_json, to_json
 from weightcell.cli import main
 
@@ -283,3 +288,12 @@ class TestCoxeterCommands:
         assert error["code"] == 3
         assert error["type"] == "ResourceLimitError"
         assert "minimal roots" in error["message"]
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    # every CLI call is a fresh process, so start-up time is paid per call
+    src = str(Path(weightcell.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, weightcell.cli; print('mpmath' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"

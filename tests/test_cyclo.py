@@ -9,15 +9,17 @@ from hypothesis import strategies as st
 
 import mpmath
 
+from weightcell import cyclo
 from weightcell.cyclo import (
     CycloReal,
+    _generator_enclosure,
     embed_2cos,
     int_sign,
     minimal_polynomial_of_2cos,
     primitive_vector,
     sign,
 )
-from weightcell.errors import InputError
+from weightcell.errors import InputError, ResourceLimitError
 
 
 def eval_poly(poly, x):
@@ -283,3 +285,41 @@ class TestIntSign:
         assert int_sign(M, coeffs) == reference_sign(M, coeffs) == 1
         coeffs[0] -= 1
         assert int_sign(M, coeffs) == reference_sign(M, coeffs) == -1
+
+
+# -- the integer enclosure of 2cos(pi/M); mpmath is a test-only oracle --------
+
+
+class TestGeneratorEnclosure:
+    @given(st.integers(4, 400), st.sampled_from((64, 128, 256, 512, 1024, 2048)))
+    @settings(max_examples=25, deadline=None)
+    def test_contains_root_narrow_and_certified(self, M, prec):
+        lo, hi = _generator_enclosure(M, prec)
+        # mpmath at prec + 64 bits is within 2^-(prec+60) of 2cos(pi/M)
+        with mpmath.workprec(prec + 64):
+            man, exp = (2 * mpmath.cos(mpmath.pi / M)).man_exp
+        value, tol = Fraction(man) * Fraction(2) ** exp, Fraction(1, 2 ** (prec + 60))
+        assert lo < value - tol and value + tol < hi
+        assert hi - lo <= Fraction(2) ** (8 - prec)
+        poly = minimal_polynomial_of_2cos(M)
+        assert eval_exact(poly, lo) < 0 < eval_exact(poly, hi)
+
+    @pytest.mark.parametrize("M,root", [(1, -2), (2, 0), (3, 1)])
+    def test_degree_one_is_the_rational_root(self, M, root):
+        assert _generator_enclosure(M, 64) == (root, root)
+
+
+def test_sign_precision_cap_is_a_resource_limit(monkeypatch):
+    # the four-level case of TestIntSign: 512 bits decide it, 256 do not
+    M, b = 154, 300
+    with mpmath.workprec(b + 128):
+        truncated = int(mpmath.floor((2 * mpmath.cos(mpmath.pi / M)) ** 3 * 2**b))
+    coeffs = [0] * field_degree(M)
+    coeffs[3] = 2**b
+    coeffs[0] = -truncated
+    monkeypatch.setattr(cyclo, "MAX_SIGN_BITS", 256)
+    with pytest.raises(ResourceLimitError) as info:
+        int_sign(M, coeffs)
+    assert (info.value.what, info.value.cap) == ("sign precision bits", 256)
+    monkeypatch.setattr(cyclo, "MAX_SIGN_BITS", 512)
+    assert int_sign(M, coeffs) == 1
