@@ -3,9 +3,14 @@
 A weight function assigns a rational to each letter and extends additively
 to words.  On a trimmed DFA the relevant structure is finite: the letter
 counts of the simple circuits cut out the cone of bounded weight functions,
-the circuit-free words carry the bound, and the cell (the words attaining
-the bound) is again regular, recognised by the tight sub-automaton of
-maximal-weight runs.
+and the cell (the words attaining the bound) is again regular, recognised
+by the tight sub-automaton of maximal-weight runs.
+
+One path-weight core serves `bound`, `cell_automaton` and
+`strictly_negative_cell`: Johnson's circuit search decides boundedness, a
+forward and a backward path relaxation give the bound and the tight
+sub-automaton, and the witnesses are the circuit-free words of that
+sub-automaton.
 
 All comparisons are exact; there are no tolerance parameters.
 """
@@ -335,13 +340,20 @@ def is_bounded(
     return BoundednessReport(violating is None, violating, inequalities)
 
 
-def bound(
-    a: Automaton,
-    phi: WeightVector,
-    max_cycles: int = limits.MAX_CYCLES,
-    strict_graph_sense: bool = False,
-) -> CellResult:
-    """Exact bound and its circuit-free witnesses (cell automata left unset)."""
+def _tight(a: Automaton, phi: WeightVector, max_cycles: int):
+    """The path-weight core: (report, bound, tight NFA, its trimmed form).
+
+    Johnson's circuit search decides boundedness; then, with no positive
+    circuit, an exact relaxation gives maxhead (the heaviest path from the
+    start to each state) and maxtail (from each state to an accept state;
+    the same relaxation on the reversed edges).  The bound b is the
+    largest maxhead at an accept state.  The tight sub-automaton keeps the
+    states q with maxhead(q) + maxtail(q) = b, the transitions preserving
+    prefix maximality (maxhead(q) + weight(letter) = maxhead(q')), and
+    accepts at the accept states with maxtail = 0.  It recognises exactly
+    the words of weight b: along a run of weight b every prefix is as heavy
+    as any path to its state and nothing is left to gain after it.
+    """
     _check_weights(a, phi)
     d = prepared(a)
     report = is_bounded(d, phi, max_cycles)
@@ -352,37 +364,29 @@ def bound(
             cycle=cyc,
             word=tuple(a.alphabet[i] for i in cyc.word()),
         )
-    words = circuit_free_words(d, strict_graph_sense)
-    if not words:
+    if not d.accept:
         raise InputError("the language is empty; no weight function has a bound")
-    best = None
-    witnesses: list[Word] = []
-    for w in words:
-        value = weight_of_word(phi, w)
-        if best is None or value > best:
-            best, witnesses = value, [w]
-        elif value == best:
-            witnesses.append(w)
-    return CellResult(best, tuple(witnesses))
-
-
-def _extremal_path_weights(d: Automaton, phi: WeightVector):
-    """(maxhead, maxtail): the maximum path weight from the start to each
-    state, and from each state to an accept state (a forward relaxation on
-    the reversed edges).
-
-    Well defined on a trimmed automaton whose simple circuits all have
-    weight <= 0 (no positive cycles), where the maxima are attained within
-    n_states - 1 edges."""
     forward = [(src, phi.values[letter], dst) for src, letter, dst in d.transitions]
     maxhead = _relax(d.n_states, [d.start], forward)
     maxtail = _relax(d.n_states, d.accept, [(dst, w, src) for src, w, dst in forward])
-    return maxhead, maxtail
+    b = max(maxhead[q] for q in d.accept)
+    # d is trimmed, so every state has a maxhead and a maxtail.
+    tight = [q for q in range(d.n_states) if maxhead[q] + maxtail[q] == b]
+    renum = {q: i for i, q in enumerate(tight)}
+    transitions = tuple(
+        (renum[src], letter, renum[dst])
+        for src, letter, dst in d.transitions
+        if src in renum and dst in renum and maxhead[src] + phi.values[letter] == maxhead[dst]
+    )
+    accept = frozenset(renum[q] for q in d.accept if q in renum and maxtail[q] == 0)
+    raw = Automaton(a.alphabet, len(tight), renum[d.start], accept, transitions)
+    return report, b, raw, trim(raw)
 
 
 def _relax(n: int, sources, edges) -> list[Fraction | None]:
     """Exact Bellman-Ford: the maximum weight of a path from `sources` to
-    each of the n states over `edges` (src, weight, dst); None if none."""
+    each of the n states over `edges` (src, weight, dst); None if none.
+    Without positive circuits the maxima are attained within n - 1 edges."""
     best: list[Fraction | None] = [None] * n
     for q in sources:
         best[q] = Fraction(0)
@@ -400,86 +404,50 @@ def _relax(n: int, sources, edges) -> list[Fraction | None]:
     raise InputError("positive-weight circuit detected during path relaxation")
 
 
+def bound(
+    a: Automaton, phi: WeightVector, max_cycles: int = limits.MAX_CYCLES
+) -> CellResult:
+    """Exact bound and its witnesses, the circuit-free words of the trimmed
+    tight sub-automaton (cell automata left unset).  These are the accepted
+    circuit-free words of maximal weight: the tight sub-automaton is a
+    subgraph of the DFA and trimming keeps the order of its states, so both
+    circuit-freeness and the shortlex order carry over."""
+    _, b, _, cell = _tight(a, phi, max_cycles)
+    return CellResult(b, tuple(circuit_free_words(cell)))
+
+
 def cell_automaton(
-    a: Automaton,
-    phi: WeightVector,
-    max_cycles: int = limits.MAX_CYCLES,
-    strict_graph_sense: bool = False,
+    a: Automaton, phi: WeightVector, max_cycles: int = limits.MAX_CYCLES
 ) -> CellResult:
     """The cell-recognising automaton: the tight sub-automaton of the DFA.
 
-    A word attains the bound exactly when, along its run, every prefix has
-    the maximum weight reaching its state and the run ends at an accept
-    state with no weight left to gain: keep the states q with
-    maxhead(q) + maxtail(q) = bound, the transitions preserving prefix
-    maximality (maxhead(q) + weight(letter) = maxhead(q')), and accept at
-    accept states with maxtail = 0.  (A circuit-free prefix tree with
-    zero-weight circuit copies appended recognises only the words whose zero
-    circuits hang off a circuit-free backbone; circuits nesting inside other
-    circuits defeat any bounded-depth attachment, so the tight sub-automaton
-    construction is used instead.)
+    The bound and the witnesses come from the same sub-automaton as in
+    `bound`.  (A circuit-free prefix tree with zero-weight circuit copies
+    appended recognises only the words whose zero circuits hang off a
+    circuit-free backbone; circuits nesting inside other circuits defeat
+    any bounded-depth attachment, so the tight sub-automaton construction
+    is used instead.)
 
     Returns the raw sub-automaton together with its trimmed, determinized,
     minimized form.
     """
-    _check_weights(a, phi)
-    d = prepared(a)
-    base = bound(d, phi, max_cycles, strict_graph_sense)
-
-    maxhead, maxtail = _extremal_path_weights(d, phi)
-    b = max(maxhead[q] for q in d.accept)
-    if b != base.bound:
-        raise AssertionError(
-            "internal inconsistency: path relaxation and circuit-free "
-            f"maximisation disagree ({b} vs {base.bound})"
-        )
-    tight = [
-        q
-        for q in range(d.n_states)
-        if maxhead[q] is not None
-        and maxtail[q] is not None
-        and maxhead[q] + maxtail[q] == b
-    ]
-    renum = {q: i for i, q in enumerate(tight)}
-    transitions = tuple(
-        (renum[src], letter, renum[dst])
-        for src, letter, dst in d.transitions
-        if src in renum
-        and dst in renum
-        and maxhead[src] + phi.values[letter] == maxhead[dst]
-    )
-    accept = frozenset(
-        renum[q] for q in d.accept if q in renum and maxtail[q] == 0
-    )
-    raw = Automaton(a.alphabet, len(tight), renum[d.start], accept, transitions)
-    dfa = minimize(determinize(trim(raw)))
-    return CellResult(base.bound, base.witnesses, raw, dfa)
+    _, b, raw, cell = _tight(a, phi, max_cycles)
+    return CellResult(b, tuple(circuit_free_words(cell)), raw, minimize(determinize(cell)))
 
 
 def strictly_negative_cell(
-    a: Automaton,
-    phi: WeightVector,
-    max_cycles: int = limits.MAX_CYCLES,
-    strict_graph_sense: bool = False,
+    a: Automaton, phi: WeightVector, max_cycles: int = limits.MAX_CYCLES
 ) -> tuple[Word, ...]:
     """Fast path: when every simple circuit has strictly negative weight the
-    cell is finite and equals the witness set; no automaton is built."""
-    _check_weights(a, phi)
-    d = prepared(a)
-    for cycle in simple_cycles(d, max_cycles):
-        w = weight_of_word(phi, cycle.word())
-        if w > 0:
-            raise UnboundedError(
-                "weight function is unbounded on the language",
-                cycle=cycle,
-                word=tuple(a.alphabet[i] for i in cycle.word()),
-            )
-        if w == 0:
-            raise PreconditionError(
-                "a circuit of weight zero exists; the cell is infinite, "
-                "use cell_automaton instead"
-            )
-    return tuple(bound(d, phi, max_cycles, strict_graph_sense).witnesses)
+    cell is finite and equals the witness set; no cell DFA is built."""
+    report, _, _, cell = _tight(a, phi, max_cycles)
+    numerators = phi._integral[0]
+    if any(sum(c * n for c, n in zip(counts, numerators)) == 0 for counts in report.inequalities):
+        raise PreconditionError(
+            "a circuit of weight zero exists; the cell is infinite, "
+            "use cell_automaton instead"
+        )
+    return tuple(circuit_free_words(cell))
 
 
 def boundedness_cone_vectors(

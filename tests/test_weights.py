@@ -14,6 +14,7 @@ from weightcell.automata import (
 )
 from weightcell.errors import InputError, PreconditionError, UnboundedError
 from weightcell.weights import (
+    CellResult,
     SimpleCycle,
     WeightVector,
     bound,
@@ -458,6 +459,16 @@ class TestStrictlyNegativeCell:
         cell = strictly_negative_cell(fig_246, wv(fig_246, "s=-1,t=-1,u=-1"))
         assert cell == ((),)
 
+    def test_unbounded_wins_over_an_earlier_zero_circuit(self):
+        # Johnson finds the zero loop a at state 0 before the positive loop c
+        a = Automaton(("a", "b", "c"), 2, 0, frozenset({1}), ((0, 0, 0), (0, 1, 1), (1, 2, 1)))
+        phi = wv(a, "a=0,b=0,c=1")
+        with pytest.raises(UnboundedError) as expected:
+            bound(a, phi)
+        with pytest.raises(UnboundedError) as info:
+            strictly_negative_cell(a, phi)
+        assert info.value.word == expected.value.word == ("c",)
+
 
 # -- structural properties -----------------------------------------------------
 
@@ -490,6 +501,11 @@ class TestOracleProperties:
             assert best == result.bound
             assert enumerate_words(result.cell_dfa, maxlen) == argmax
             assert argmax, "cell must be nonempty"
+            circuit_free = [w for w in enumerate_words(a, maxlen) if is_circuit_free_ref(a, w)]
+            top = max(weight_of_word(phi, w) for w in circuit_free)
+            witnesses = tuple(w for w in circuit_free if weight_of_word(phi, w) == top)
+            assert result.witnesses == witnesses
+            assert bound(a, phi) == CellResult(best, witnesses)
             checked += 1
 
     def test_reduction_step_soundness(self, fig_246):
