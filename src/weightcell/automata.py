@@ -18,8 +18,8 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import limits
 from .errors import InputError, ResourceLimitError
+from .limits import Caps
 
 Word = tuple[int, ...]
 
@@ -190,7 +190,7 @@ def is_trim(a: Automaton) -> bool:
     return t.n_states == a.n_states and len(t.transitions) == len(a.transitions)
 
 
-def determinize(a: Automaton, max_states: int = limits.MAX_STATES) -> Automaton:
+def determinize(a: Automaton, caps: Caps = Caps()) -> Automaton:
     """Subset construction; canonical numbering by BFS discovery, letters ascending."""
     delta = _delta(a)
     n_letters = len(a.alphabet)
@@ -210,8 +210,8 @@ def determinize(a: Automaton, max_states: int = limits.MAX_STATES) -> Automaton:
                 continue
             key = frozenset(targets)
             if key not in index:
-                if len(index) >= max_states:
-                    raise ResourceLimitError("determinization states", max_states)
+                if len(index) >= caps.states:
+                    raise ResourceLimitError("determinization states", caps.states)
                 index[key] = len(order)
                 order.append(key)
                 queue.append(key)
@@ -323,13 +323,11 @@ def accepts(a: Automaton, w: Word) -> bool:
     return bool(current & a.accept)
 
 
-def enumerate_words(
-    a: Automaton, maxlen: int, max_words: int = limits.MAX_WORDS
-) -> list[Word]:
+def enumerate_words(a: Automaton, maxlen: int, caps: Caps = Caps()) -> list[Word]:
     """All accepted words of length <= maxlen, in shortlex order."""
     if maxlen < 0:
         raise InputError("maxlen must be >= 0")
-    d = a if a.deterministic else determinize(a)
+    d = a if a.deterministic else determinize(a, caps)
     delta = {k: v[0] for k, v in _delta(d).items()}
     n_letters = len(d.alphabet)
     words: list[Word] = []
@@ -347,8 +345,8 @@ def enumerate_words(
                 nxt.append((t, w2))
                 if t in d.accept:
                     words.append(w2)
-                    if len(words) > max_words:
-                        raise ResourceLimitError("enumerated words", max_words)
+                    if len(words) > caps.words:
+                        raise ResourceLimitError("enumerated words", caps.words)
         if not nxt:
             break
         frontier = nxt

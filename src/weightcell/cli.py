@@ -175,11 +175,11 @@ def _cmd_automaton(args) -> int:
             _emit("\n".join(lines) + "\n", args.output)
         return 0
     if args.subcommand == "min":
-        result = automata.minimize(automata.determinize(a, caps.states))
+        result = automata.minimize(automata.determinize(a, caps))
     elif args.subcommand == "reverse":
         result = automata.reverse(a)
     else:  # enum
-        words = automata.enumerate_words(a, args.maxlen, caps.words)
+        words = automata.enumerate_words(a, args.maxlen, caps)
         if args.format == "json":
             _emit(_dump([list(a.word_names(w)) for w in words]), args.output)
         else:
@@ -199,9 +199,9 @@ def _cmd_automaton(args) -> int:
 
 def _cone_document(a: automata.Automaton, caps: Caps) -> tuple[dict, cones.HRep]:
     """The letter cone's document, and the raw cone it was reduced from."""
-    raw = cones.HRep(len(a.alphabet), tuple(weights.boundedness_cone_vectors(a, caps.cycles)))
-    irred = cones.remove_redundant(raw, caps.rays)
-    vrep = cones.extreme_rays(irred, caps.rays)
+    raw = cones.HRep(len(a.alphabet), tuple(weights.boundedness_cone_vectors(a, caps)))
+    irred = cones.remove_redundant(raw, caps)
+    vrep = cones.extreme_rays(irred, caps)
     return {
         "dim": len(a.alphabet),
         "alphabet": list(a.alphabet),
@@ -217,8 +217,8 @@ def _class_cone(sys_: coxeter.CoxeterSystem, raw: cones.HRep, caps: Caps):
     weights: (classes, projected normals, irredundant normals, rays)."""
     classes = coxeter.weight_classes(sys_)
     projected = cones.project_parameters(raw, [list(g) for g in classes])
-    irred = cones.remove_redundant(projected, caps.rays)
-    return classes, projected, irred, cones.extreme_rays(irred, caps.rays)
+    irred = cones.remove_redundant(projected, caps)
+    return classes, projected, irred, cones.extreme_rays(irred, caps)
 
 
 def _print_cone(doc, fmt, output):
@@ -286,7 +286,7 @@ def _cmd_bound(args) -> int:
     caps = _caps(args)
     a = _load_automaton(args.file)
     phi = weights.parse_weights(args.phi, a.alphabet)
-    _print_bound(a, weights.bound(a, phi, caps.cycles), args.format, None)
+    _print_bound(a, weights.bound(a, phi, caps), args.format, None)
     return 0
 
 
@@ -294,7 +294,7 @@ def _cmd_cell(args) -> int:
     caps = _caps(args)
     a = _load_automaton(args.file)
     phi = weights.parse_weights(args.phi, a.alphabet)
-    result = weights.cell_automaton(a, phi, caps.cycles)
+    result = weights.cell_automaton(a, phi, caps)
     _print_cell(a, result, args.format, None, args.out_prefix or Path(args.file).stem)
     return 0
 
@@ -310,11 +310,11 @@ def _cmd_coxeter(args) -> int:
         return _cmd_closed_form(args)
     sys_ = _load_system(args)
     if args.subcommand == "build":
-        a = coxeter.language_automaton(sys_, args.lang, caps.states, caps.roots)
+        a = coxeter.language_automaton(sys_, args.lang, caps)
         _emit(automata.to_dot(a) if args.format == "dot" else automata.to_json(a), args.output)
         return 0
     if args.subcommand == "cone":
-        a = coxeter.language_automaton(sys_, args.lang, caps.states, caps.roots)
+        a = coxeter.language_automaton(sys_, args.lang, caps)
         letter_doc, raw = _cone_document(a, caps)
         classes, projected, irred, vrep = _class_cone(sys_, raw, caps)
         doc = {
@@ -341,7 +341,7 @@ def _cmd_coxeter(args) -> int:
         return 0
     if args.subcommand in ("bound", "cell"):
         phi = weights.parse_weights(args.phi, sys_.generators)
-        result = coxeter.group_cell(sys_, phi, args.lang, caps.states, caps.cycles, caps.roots)
+        result = coxeter.group_cell(sys_, phi, args.lang, caps)
         sizes = [("X_size", len(result.X)), ("Y_size", len(result.Y))]
         if args.subcommand == "bound":
             _print_bound(result.cell_dfa, result, args.format, args.output, sizes)
@@ -425,8 +425,8 @@ def _cmd_closed_form(args) -> int:
 def _cmd_probe(args, sys_, caps: Caps) -> int:
     """Sample bounded weight functions and report whether some witness lies
     in a finite standard parabolic subgroup.  Reports only; asserts nothing."""
-    a = coxeter.language_automaton(sys_, args.lang, caps.states, caps.roots)
-    raw = cones.HRep(len(a.alphabet), tuple(weights.boundedness_cone_vectors(a, caps.cycles)))
+    a = coxeter.language_automaton(sys_, args.lang, caps)
+    raw = cones.HRep(len(a.alphabet), tuple(weights.boundedness_cone_vectors(a, caps)))
     classes, _, _, vrep = _class_cone(sys_, raw, caps)
     if not raw.normals:  # a finite language: every sample is the zero weight
         vrep = cones.VRep(len(classes), (), ())
@@ -444,7 +444,7 @@ def _cmd_probe(args, sys_, caps: Caps) -> int:
         for group, value in zip(classes, values):
             for i in group:
                 assignment[sys_.generators[i]] = value
-        result = coxeter.group_cell(sys_, assignment, args.lang, caps.states, caps.cycles, caps.roots)
+        result = coxeter.group_cell(sys_, assignment, args.lang, caps)
         witness_info = []
         for w in result.witnesses:
             support = tuple(sorted(set(w)))
@@ -484,6 +484,8 @@ def _error_doc(exc: WeightcellError) -> dict:
     doc = {"error": {"code": exc.exit_code, "type": type(exc).__name__, "message": str(exc)}}
     if isinstance(exc, UnboundedError) and exc.word is not None:
         doc["error"]["violating_circuit"] = list(exc.word)
+    if isinstance(exc, ResourceLimitError):
+        doc["error"].update(stage=exc.what, cap=exc.cap)
     return doc
 
 

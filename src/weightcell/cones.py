@@ -14,9 +14,9 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import limits
 from .cyclo import primitive_vector
 from .errors import InputError, ResourceLimitError
+from .limits import Caps
 from .weights import distinct_count_vectors
 
 __all__ = [
@@ -67,7 +67,7 @@ def cone_from_circuits(cycles, alphabet) -> HRep:
     return HRep(len(alphabet), tuple(distinct_count_vectors(cycles, len(alphabet))))
 
 
-def remove_redundant(h: HRep, max_rays: int = limits.MAX_RAYS) -> HRep:
+def remove_redundant(h: HRep, caps: Caps = Caps()) -> HRep:
     """Minimal sub-list defining the same cone, input order preserved.
 
     One double description of the whole list decides every normal when the
@@ -76,14 +76,14 @@ def remove_redundant(h: HRep, max_rays: int = limits.MAX_RAYS) -> HRep:
     dim - 1, and no other normal is needed.  A lower-dimensional cone (only
     reachable through the API: circuit-count normals are non-negative)
     drops normals greedily, each implied by the ones still kept."""
-    v = extreme_rays(h, max_rays)
+    v = extreme_rays(h, caps)
     if len(_rref(v.lineality + v.rays)) == h.dim:
         return HRep(h.dim, tuple(n for n in h.normals if len(_rref(_tight(v, n))) == h.dim - 1))
     kept = list(h.normals)
     i = 0
     while i < len(kept):
         rest = kept[:i] + kept[i + 1 :]
-        if rest and _satisfies(extreme_rays(HRep(h.dim, tuple(rest)), max_rays), kept[i]):
+        if rest and _satisfies(extreme_rays(HRep(h.dim, tuple(rest)), caps), kept[i]):
             kept.pop(i)
         else:
             i += 1
@@ -164,7 +164,7 @@ def _rref(rows) -> list[list[Fraction]]:
     return mat[:rank]
 
 
-def extreme_rays(h: HRep, max_rays: int = limits.MAX_RAYS) -> VRep:
+def extreme_rays(h: HRep, caps: Caps = Caps()) -> VRep:
     """Double description: start from the full space (d lines), intersect with
     one half-space at a time.  Adjacency of rays is decided by the exact rank
     test on their common tight constraints, valid in the quotient modulo the
@@ -206,8 +206,8 @@ def extreme_rays(h: HRep, max_rays: int = limits.MAX_RAYS) -> VRep:
                     combo = tuple(wp * y - wm * x for x, y in zip(rp, rm))
                     combos.append(primitive_vector(combo))
             rays = _dedupe(zero + minus + combos)
-            if len(rays) > max_rays:
-                raise ResourceLimitError("extreme rays", max_rays)
+            if len(rays) > caps.rays:
+                raise ResourceLimitError("extreme rays", caps.rays)
         processed.append(normal)
 
     return VRep(
@@ -236,7 +236,7 @@ def _adjacent(r1, r2, processed, quotient_dim) -> bool:
     return len(_rref(common)) == quotient_dim - 2
 
 
-def facets(v: VRep, max_rays: int = limits.MAX_RAYS) -> HRep:
+def facets(v: VRep, caps: Caps = Caps()) -> HRep:
     """Facet normals of span(lineality)+cone(rays), by double description on
     the polar cone (rays become inequalities, lineality becomes equalities).
 
@@ -247,7 +247,7 @@ def facets(v: VRep, max_rays: int = limits.MAX_RAYS) -> HRep:
     for l in v.lineality:
         constraints.append(l)
         constraints.append(tuple(-x for x in l))
-    polar = extreme_rays(HRep(v.dim, tuple(constraints)), max_rays)
+    polar = extreme_rays(HRep(v.dim, tuple(constraints)), caps)
     normals = list(polar.rays)
     for l in polar.lineality:
         normals.append(l)

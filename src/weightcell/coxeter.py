@@ -24,7 +24,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from . import limits
 from .automata import Automaton, Word, determinize, minimize, reverse
 from .cyclo import (
     CycloReal,
@@ -35,6 +34,7 @@ from .cyclo import (
     minimal_polynomial_of_2cos,
 )
 from .errors import InputError, ResourceLimitError, UnboundedError
+from .limits import Caps
 from .weights import (
     WeightVector,
     cell_automaton,
@@ -381,9 +381,7 @@ class MinimalRootTable:
 
 
 @lru_cache(maxsize=64)
-def minimal_roots(
-    sys: CoxeterSystem, max_roots: int = limits.MAX_ROOTS
-) -> MinimalRootTable:
+def minimal_roots(sys: CoxeterSystem, caps: Caps = Caps()) -> MinimalRootTable:
     """Breadth-first closure from the simple roots.
 
     For a minimal root g and generator s with c = B(alpha_s, g): the root is
@@ -422,8 +420,8 @@ def minimal_roots(
                     continue
                 key = gamma[:s] + (image_s,) + gamma[s + 1 :]
                 if key not in index:
-                    if len(roots) >= max_roots:
-                        raise ResourceLimitError("minimal roots", max_roots)
+                    if len(roots) >= caps.roots:
+                        raise ResourceLimitError("minimal roots", caps.roots)
                     index[key] = len(roots)
                     roots.append(key)
                     next_frontier.append(index[key])
@@ -444,12 +442,7 @@ def minimal_roots(
 # ---------------------------------------------------------------------------
 
 
-def _subset_automaton(
-    sys: CoxeterSystem,
-    shortlex: bool,
-    max_states: int,
-    max_roots: int,
-) -> Automaton:
+def _subset_automaton(sys: CoxeterSystem, shortlex: bool, caps: Caps = Caps()) -> Automaton:
     """BFS over subsets of minimal roots (those sent negative so far).
 
     Transition on s requires alpha_s outside the subset (the word stays
@@ -457,7 +450,7 @@ def _subset_automaton(
     lie in the updated subset (the new letter must be the least left descent
     of the suffix read so far).  All states accept.
     """
-    table = minimal_roots(sys, max_roots)
+    table = minimal_roots(sys, caps)
     n = sys.rank
     start: frozenset[int] = frozenset()
     index = {start: 0}
@@ -479,8 +472,8 @@ def _subset_automaton(
                 continue
             key = frozenset(updated)
             if key not in index:
-                if len(index) >= max_states:
-                    raise ResourceLimitError("automaton states", max_states)
+                if len(index) >= caps.states:
+                    raise ResourceLimitError("automaton states", caps.states)
                 index[key] = len(order)
                 order.append(key)
                 queue.append(key)
@@ -495,30 +488,20 @@ def _subset_automaton(
 
 
 @lru_cache(maxsize=64)
-def reduced_word_automaton(
-    sys: CoxeterSystem,
-    max_states: int = limits.MAX_STATES,
-    max_roots: int = limits.MAX_ROOTS,
-) -> Automaton:
+def reduced_word_automaton(sys: CoxeterSystem, caps: Caps = Caps()) -> Automaton:
     """DFA recognising the language of all reduced words (all states accept)."""
-    return _subset_automaton(sys, shortlex=False, max_states=max_states, max_roots=max_roots)
+    return _subset_automaton(sys, shortlex=False, caps=caps)
 
 
 @lru_cache(maxsize=64)
-def shortlex_automaton(
-    sys: CoxeterSystem,
-    max_states: int = limits.MAX_STATES,
-    max_roots: int = limits.MAX_ROOTS,
-) -> Automaton:
+def shortlex_automaton(sys: CoxeterSystem, caps: Caps = Caps()) -> Automaton:
     """Minimal DFA of the shortlex normal forms (generator order as declared).
 
     Built on the reversed language, where the minimal-root subsets expose the
     left-descent sets of suffixes, then reversed, determinized, minimized.
     """
-    reversed_dfa = _subset_automaton(
-        sys, shortlex=True, max_states=max_states, max_roots=max_roots
-    )
-    return minimize(determinize(reverse(reversed_dfa), max_states))
+    reversed_dfa = _subset_automaton(sys, shortlex=True, caps=caps)
+    return minimize(determinize(reverse(reversed_dfa), caps))
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +511,7 @@ def shortlex_automaton(
 
 @lru_cache(maxsize=8)
 def _ball_entries(
-    sys: CoxeterSystem, radius: int, max_elements: int
+    sys: CoxeterSystem, radius: int, caps: Caps = Caps()
 ) -> tuple[tuple[GroupElement, Word], ...]:
     if radius < 0:
         raise InputError("radius must be >= 0")
@@ -541,8 +524,8 @@ def _ball_entries(
             for s in range(sys.rank):
                 mat = _right_mul_matrix(sys, g.mat, s)
                 if mat not in seen:
-                    if len(seen) >= max_elements:
-                        raise ResourceLimitError("group elements", max_elements)
+                    if len(seen) >= caps.elements:
+                        raise ResourceLimitError("group elements", caps.elements)
                     h = GroupElement(sys, mat, _left_mul_matrix(sys, s, g.inv))
                     entry = (h, word + (s,))
                     seen[mat] = entry
@@ -553,25 +536,21 @@ def _ball_entries(
     return tuple(seen.values())
 
 
-def ball(
-    sys: CoxeterSystem, radius: int, max_elements: int = limits.MAX_ELEMENTS
-) -> dict[GroupElement, Word]:
+def ball(sys: CoxeterSystem, radius: int, caps: Caps = Caps()) -> dict[GroupElement, Word]:
     """All elements of length <= radius with their shortlex normal forms.
 
     Breadth-first with exact matrix deduplication; expanding letters in
     ascending order means each element is first reached by its shortlex
     normal form (the shortlex language is prefix closed).
     """
-    return dict(_ball_entries(sys, radius, max_elements))
+    return dict(_ball_entries(sys, radius, caps))
 
 
-def saturated_ball(
-    sys: CoxeterSystem, max_elements: int = limits.MAX_ELEMENTS
-) -> dict[GroupElement, Word]:
+def saturated_ball(sys: CoxeterSystem, caps: Caps = Caps()) -> dict[GroupElement, Word]:
     """The whole group, for finite systems (BFS until the frontier empties)."""
     if not is_positive_definite(sys):
         raise InputError("the Coxeter system is not finite")
-    return ball(sys, max_elements, max_elements)
+    return ball(sys, caps.elements, caps)
 
 
 # ---------------------------------------------------------------------------
@@ -636,16 +615,11 @@ class GroupCellResult:
     cell_dfa: Automaton
 
 
-def language_automaton(
-    sys: CoxeterSystem,
-    language: str,
-    max_states: int = limits.MAX_STATES,
-    max_roots: int = limits.MAX_ROOTS,
-) -> Automaton:
+def language_automaton(sys: CoxeterSystem, language: str, caps: Caps = Caps()) -> Automaton:
     if language == "lex":
-        return shortlex_automaton(sys, max_states, max_roots)
+        return shortlex_automaton(sys, caps)
     if language == "reduced":
-        return minimize(reduced_word_automaton(sys, max_states, max_roots))
+        return minimize(reduced_word_automaton(sys, caps))
     raise InputError(f"unknown language {language!r} (expected 'lex' or 'reduced')")
 
 
@@ -653,9 +627,7 @@ def group_cell(
     sys: CoxeterSystem,
     assignment,
     language: str = "lex",
-    max_states: int = limits.MAX_STATES,
-    max_cycles: int = limits.MAX_CYCLES,
-    max_roots: int = limits.MAX_ROOTS,
+    caps: Caps = Caps(),
 ) -> GroupCellResult:
     """Boundedness, bound, and cell of a group weight function, through the
     chosen geodesic language (shortlex is exact, so its cell automaton
@@ -665,9 +637,9 @@ def group_cell(
         raise InputError(
             "assignment does not extend to a weight function (odd-bond values differ)"
         )
-    a = language_automaton(sys, language, max_states, max_roots)
-    d = prepared(a)
-    report = is_bounded(d, phi, max_cycles)
+    a = language_automaton(sys, language, caps)
+    d = prepared(a, caps)
+    report = is_bounded(d, phi, caps)
     if not report.bounded:
         cyc = report.violating_cycle
         raise UnboundedError(
@@ -675,11 +647,9 @@ def group_cell(
             cycle=cyc,
             word=tuple(sys.generators[i] for i in cyc.word()),
         )
-    X = frozenset(
-        natural_map(sys, w) for w in simple_circuit_words(d, max_cycles)
-    )
-    Y = frozenset(natural_map(sys, w) for w in circuit_free_words(d))
-    cell = cell_automaton(d, phi, max_cycles)
+    X = frozenset(natural_map(sys, w) for w in simple_circuit_words(d, caps))
+    Y = frozenset(natural_map(sys, w) for w in circuit_free_words(d, caps=caps))
+    cell = cell_automaton(d, phi, caps)
     return GroupCellResult(
         language, X, Y, cell.bound, cell.witnesses, cell.cell_nfa, cell.cell_dfa
     )
@@ -792,9 +762,7 @@ def longest_element(sys: CoxeterSystem) -> GroupElement:
         g = right_mul(g, ascent)
 
 
-def parabolic_elements(
-    sys: CoxeterSystem, subset, max_elements: int = limits.MAX_ELEMENTS
-) -> list[GroupElement]:
+def parabolic_elements(sys: CoxeterSystem, subset, caps: Caps = Caps()) -> list[GroupElement]:
     """All elements of the standard parabolic subgroup on `subset` (which
     must generate a finite subgroup)."""
     indices = tuple(sorted(subset))
@@ -809,8 +777,8 @@ def parabolic_elements(
             for s in indices:
                 h = right_mul(g, s)
                 if h.mat not in seen:
-                    if len(seen) >= max_elements:
-                        raise ResourceLimitError("parabolic elements", max_elements)
+                    if len(seen) >= caps.elements:
+                        raise ResourceLimitError("parabolic elements", caps.elements)
                     seen[h.mat] = h
                     nxt.append(h)
         frontier = nxt

@@ -1,10 +1,13 @@
-"""Default resource caps and the WEIGHTCELL_CAPS environment fallback.
+"""Resource caps, carried by one `Caps` value, and the WEIGHTCELL_CAPS
+environment fallback.
 
-Every potentially explosive operation takes an explicit cap argument whose
-default comes from here.  Only the command line reads the environment
-variable WEIGHTCELL_CAPS (a comma-separated list like
-"states=500000,cycles=20000", parsed by `Caps.from_env`) and passes its
-values to the library; CLI flags override it.
+Every potentially explosive library function takes one keyword argument,
+`caps: Caps = Caps()`, and each enumerating loop reads its own field
+(`caps.states`, `caps.cycles`, `caps.words`, ...), so a cap reaches every
+layer by construction.  The field defaults are the library defaults.  Only
+the command line reads the environment variable WEIGHTCELL_CAPS (a
+comma-separated list like "states=500000,cycles=20000", parsed by
+`Caps.from_env`); CLI flags override it.
 """
 
 from __future__ import annotations
@@ -14,22 +17,15 @@ from dataclasses import dataclass, fields
 
 from .errors import InputError
 
-MAX_STATES = 1_000_000
-MAX_CYCLES = 100_000
-MAX_RAYS = 100_000
-MAX_WORDS = 1_000_000
-MAX_ELEMENTS = 1_000_000
-MAX_ROOTS = 100_000
-
 
 @dataclass(frozen=True)
 class Caps:
-    states: int = MAX_STATES
-    cycles: int = MAX_CYCLES
-    rays: int = MAX_RAYS
-    words: int = MAX_WORDS
-    elements: int = MAX_ELEMENTS
-    roots: int = MAX_ROOTS
+    states: int = 1_000_000
+    cycles: int = 100_000
+    rays: int = 100_000
+    words: int = 1_000_000
+    elements: int = 1_000_000
+    roots: int = 100_000
 
     def __post_init__(self):
         for f in fields(self):

@@ -17,14 +17,15 @@ All comparisons are exact; there are no tolerance parameters.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
 
-from . import limits
 from .automata import Automaton, Word, determinize, is_trim, minimize, trim
 from .errors import InputError, PreconditionError, ResourceLimitError, UnboundedError
+from .limits import Caps
 
 __all__ = [
     "BoundednessReport",
@@ -166,7 +167,7 @@ class SimpleCycle:
         return SimpleCycle(base, self.arcs[k:] + self.arcs[:k])
 
 
-def simple_cycles(a: Automaton, max_cycles: int = limits.MAX_CYCLES) -> list[SimpleCycle]:
+def simple_cycles(a: Automaton, caps: Caps = Caps()) -> list[SimpleCycle]:
     """All elementary circuits, one canonical rotation each, deterministic order.
 
     The automaton must be trimmed (cycles through useless states would create
@@ -208,8 +209,8 @@ def simple_cycles(a: Automaton, max_cycles: int = limits.MAX_CYCLES) -> list[Sim
             for dst, letter in frame[1]:
                 if dst == root:
                     out.append(SimpleCycle(root, tuple(path) + ((v, letter),)))
-                    if len(out) > max_cycles:
-                        raise ResourceLimitError("simple cycles", max_cycles)
+                    if len(out) > caps.cycles:
+                        raise ResourceLimitError("simple cycles", caps.cycles)
                     frame[2] = True
                 elif dst in live and dst not in blocked:
                     path.append((v, letter))
@@ -235,13 +236,13 @@ def simple_cycles(a: Automaton, max_cycles: int = limits.MAX_CYCLES) -> list[Sim
     return out
 
 
-def simple_circuit_words(a: Automaton, max_cycles: int = limits.MAX_CYCLES) -> list[Word]:
+def simple_circuit_words(a: Automaton, caps: Caps = Caps()) -> list[Word]:
     """The full set of simple circuit subwords: every rotation of every
     elementary circuit (in a trimmed automaton each rotation occurs inside
     some accepted word), sorted shortlex, duplicates removed."""
     words = {
         cycle.rotation(state).word()
-        for cycle in simple_cycles(a, max_cycles)
+        for cycle in simple_cycles(a, caps)
         for state in cycle.states()
     }
     return sorted(words, key=lambda w: (len(w), w))
@@ -252,13 +253,16 @@ def simple_circuit_words(a: Automaton, max_cycles: int = limits.MAX_CYCLES) -> l
 # ---------------------------------------------------------------------------
 
 
-def circuit_free_words(a: Automaton, strict_graph_sense: bool = False) -> list[Word]:
+def circuit_free_words(
+    a: Automaton, strict_graph_sense: bool = False, caps: Caps = Caps()
+) -> list[Word]:
     """Accepted words whose path revisits no state at positions 1..n.
 
     By default the start state at position 0 is excluded from the
     distinctness comparison; with `strict_graph_sense` the path may not
     revisit the start either (both conventions coincide whenever the start
-    state has no incoming edge).  Output in shortlex order.
+    state has no incoming edge).  Output in shortlex order; more than
+    `caps.words` words raise ResourceLimitError.
     """
     if not a.deterministic:
         raise InputError("circuit_free_words requires a deterministic automaton")
@@ -282,6 +286,8 @@ def circuit_free_words(a: Automaton, strict_graph_sense: bool = False) -> list[W
                 word.append(letter)
                 if dst in a.accept:
                     words.append(tuple(word))
+                    if len(words) > caps.words:
+                        raise ResourceLimitError("circuit-free words", caps.words)
                 stack.append((dst, iter(adjacency[dst])))
                 break
         else:
@@ -317,10 +323,10 @@ class CellResult:
 
 
 @lru_cache(maxsize=1024)
-def prepared(a: Automaton) -> Automaton:
+def prepared(a: Automaton, caps: Caps = Caps()) -> Automaton:
     """Deterministic trimmed form used by every weight-engine entry point."""
     if not a.deterministic:
-        a = determinize(a)
+        a = determinize(a, caps)
     return trim(a)
 
 
@@ -329,18 +335,16 @@ def _check_weights(a: Automaton, phi: WeightVector):
         raise InputError("weight vector alphabet does not match the automaton")
 
 
-def is_bounded(
-    a: Automaton, phi: WeightVector, max_cycles: int = limits.MAX_CYCLES
-) -> BoundednessReport:
+def is_bounded(a: Automaton, phi: WeightVector, caps: Caps = Caps()) -> BoundednessReport:
     """Bounded iff every simple circuit has weight <= 0."""
     _check_weights(a, phi)
-    cycles = simple_cycles(prepared(a), max_cycles)
+    cycles = simple_cycles(prepared(a, caps), caps)
     violating = next((c for c in cycles if weight_of_word(phi, c.word()) > 0), None)
     inequalities = tuple(distinct_count_vectors(cycles, len(a.alphabet)))
     return BoundednessReport(violating is None, violating, inequalities)
 
 
-def _tight(a: Automaton, phi: WeightVector, max_cycles: int):
+def _tight(a: Automaton, phi: WeightVector, caps: Caps = Caps()):
     """The path-weight core: (report, bound, tight NFA, its trimmed form).
 
     Johnson's circuit search decides boundedness; then, with no positive
@@ -355,8 +359,8 @@ def _tight(a: Automaton, phi: WeightVector, max_cycles: int):
     as any path to its state and nothing is left to gain after it.
     """
     _check_weights(a, phi)
-    d = prepared(a)
-    report = is_bounded(d, phi, max_cycles)
+    d = prepared(a, caps)
+    report = is_bounded(d, phi, caps)
     if not report.bounded:
         cyc = report.violating_cycle
         raise UnboundedError(
@@ -384,41 +388,47 @@ def _tight(a: Automaton, phi: WeightVector, max_cycles: int):
 
 
 def _relax(n: int, sources, edges) -> list[Fraction | None]:
-    """Exact Bellman-Ford: the maximum weight of a path from `sources` to
-    each of the n states over `edges` (src, weight, dst); None if none.
-    Without positive circuits the maxima are attained within n - 1 edges."""
+    """Exact maximum weight of a path from `sources` to each of the n states
+    over `edges` (src, weight, dst); None if none.
+
+    A FIFO worklist over out-adjacency lists: a state's out-edges are
+    relaxed again only after its value rose.  Precondition: no circuit has
+    positive weight (`_tight`, the only caller, runs Johnson's search
+    first), so every value rises finitely often and the worklist empties.
+    """
+    out: list[list[tuple[Fraction, int]]] = [[] for _ in range(n)]
+    for src, w, dst in edges:
+        out[src].append((w, dst))
     best: list[Fraction | None] = [None] * n
+    queued = [False] * n
     for q in sources:
         best[q] = Fraction(0)
-    for _ in range(n + 1):
-        changed = False
-        for src, w, dst in edges:
-            if best[src] is None:
-                continue
+        queued[q] = True
+    queue = deque(q for q in range(n) if queued[q])
+    while queue:
+        src = queue.popleft()
+        queued[src] = False
+        for w, dst in out[src]:
             cand = best[src] + w
             if best[dst] is None or cand > best[dst]:
                 best[dst] = cand
-                changed = True
-        if not changed:
-            return best
-    raise InputError("positive-weight circuit detected during path relaxation")
+                if not queued[dst]:
+                    queued[dst] = True
+                    queue.append(dst)
+    return best
 
 
-def bound(
-    a: Automaton, phi: WeightVector, max_cycles: int = limits.MAX_CYCLES
-) -> CellResult:
+def bound(a: Automaton, phi: WeightVector, caps: Caps = Caps()) -> CellResult:
     """Exact bound and its witnesses, the circuit-free words of the trimmed
     tight sub-automaton (cell automata left unset).  These are the accepted
     circuit-free words of maximal weight: the tight sub-automaton is a
     subgraph of the DFA and trimming keeps the order of its states, so both
     circuit-freeness and the shortlex order carry over."""
-    _, b, _, cell = _tight(a, phi, max_cycles)
-    return CellResult(b, tuple(circuit_free_words(cell)))
+    _, b, _, cell = _tight(a, phi, caps)
+    return CellResult(b, tuple(circuit_free_words(cell, caps=caps)))
 
 
-def cell_automaton(
-    a: Automaton, phi: WeightVector, max_cycles: int = limits.MAX_CYCLES
-) -> CellResult:
+def cell_automaton(a: Automaton, phi: WeightVector, caps: Caps = Caps()) -> CellResult:
     """The cell-recognising automaton: the tight sub-automaton of the DFA.
 
     The bound and the witnesses come from the same sub-automaton as in
@@ -431,28 +441,27 @@ def cell_automaton(
     Returns the raw sub-automaton together with its trimmed, determinized,
     minimized form.
     """
-    _, b, raw, cell = _tight(a, phi, max_cycles)
-    return CellResult(b, tuple(circuit_free_words(cell)), raw, minimize(determinize(cell)))
+    _, b, raw, cell = _tight(a, phi, caps)
+    witnesses = tuple(circuit_free_words(cell, caps=caps))
+    return CellResult(b, witnesses, raw, minimize(determinize(cell, caps)))
 
 
 def strictly_negative_cell(
-    a: Automaton, phi: WeightVector, max_cycles: int = limits.MAX_CYCLES
+    a: Automaton, phi: WeightVector, caps: Caps = Caps()
 ) -> tuple[Word, ...]:
     """Fast path: when every simple circuit has strictly negative weight the
     cell is finite and equals the witness set; no cell DFA is built."""
-    report, _, _, cell = _tight(a, phi, max_cycles)
+    report, _, _, cell = _tight(a, phi, caps)
     numerators = phi._integral[0]
     if any(sum(c * n for c, n in zip(counts, numerators)) == 0 for counts in report.inequalities):
         raise PreconditionError(
             "a circuit of weight zero exists; the cell is infinite, "
             "use cell_automaton instead"
         )
-    return tuple(circuit_free_words(cell))
+    return tuple(circuit_free_words(cell, caps=caps))
 
 
-def boundedness_cone_vectors(
-    a: Automaton, max_cycles: int = limits.MAX_CYCLES
-) -> list[tuple[int, ...]]:
+def boundedness_cone_vectors(a: Automaton, caps: Caps = Caps()) -> list[tuple[int, ...]]:
     """Deduplicated letter-count vectors of the simple circuits (the raw
     inequality normals of the boundedness cone), first-occurrence order."""
-    return distinct_count_vectors(simple_cycles(prepared(a), max_cycles), len(a.alphabet))
+    return distinct_count_vectors(simple_cycles(prepared(a, caps), caps), len(a.alphabet))

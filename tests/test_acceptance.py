@@ -45,6 +45,7 @@ from weightcell.coxeter import (
     weight_classes,
 )
 from weightcell.errors import ResourceLimitError
+from weightcell.limits import Caps
 from weightcell.weights import (
     WeightVector,
     bound,
@@ -294,9 +295,9 @@ def test_a6_affine_cones():
         assert same_cone(generic, closed), name
     try:
         sys_ = affine_f4_system()
-        a = shortlex_automaton(sys_, 200_000)
+        a = shortlex_automaton(sys_, caps=Caps(states=200_000))
         classes = weight_classes(sys_)
-        raw = cone_from_circuits(simple_cycles(a, 200_000), a.alphabet)
+        raw = cone_from_circuits(simple_cycles(a, caps=Caps(cycles=200_000)), a.alphabet)
         generic = remove_redundant(
             project_parameters(raw, [list(g) for g in classes])
         )
@@ -314,7 +315,7 @@ def test_a7_weight_engine_oracles(name, sys_):
     d = prepared(a)
     maxlen = 2 * d.n_states
     by_counts: dict[tuple, list] = {}
-    for w in enumerate_words(d, maxlen, max_words=5_000_000):
+    for w in enumerate_words(d, maxlen, caps=Caps(words=5_000_000)):
         counts = [0] * len(a.alphabet)
         for letter in w:
             counts[letter] += 1
@@ -340,7 +341,7 @@ def test_a7_weight_engine_oracles(name, sys_):
             ),
             key=shortlex_key,
         )
-        assert enumerate_words(result.cell_dfa, maxlen, max_words=5_000_000) == argmax
+        assert enumerate_words(result.cell_dfa, maxlen, caps=Caps(words=5_000_000)) == argmax
         assert argmax, "cell must be nonempty"
     report(f"[A7] weight-engine oracle on {name}: bound, cell, nonemptiness vs enumeration")
 

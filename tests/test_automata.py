@@ -22,6 +22,7 @@ from weightcell.automata import (
     trim,
 )
 from weightcell.errors import InputError, ResourceLimitError
+from weightcell.limits import Caps
 
 from conftest import dihedral_cell_dfa, random_automaton
 
@@ -100,7 +101,7 @@ class TestDeterminize:
 
     def test_state_cap(self, ex_cell_nfa):
         with pytest.raises(ResourceLimitError):
-            determinize(ex_cell_nfa, max_states=2)
+            determinize(ex_cell_nfa, caps=Caps(states=2))
 
 
 class TestMinimize:
@@ -229,7 +230,7 @@ class TestEnumerate:
 
     def test_word_cap(self, fig_333):
         with pytest.raises(ResourceLimitError):
-            enumerate_words(fig_333, 10, max_words=5)
+            enumerate_words(fig_333, 10, caps=Caps(words=5))
 
 
 class TestNormalizationInvariant:

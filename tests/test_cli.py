@@ -169,6 +169,15 @@ class TestConeBoundCell:
         assert doc["raw_normals"] == doc["normals"] == [[2999, 1]]
         assert doc["lineality"] == [[1, -2999]] and doc["rays"] == [[-1, 0]]
 
+    def test_words_cap_exit_3(self, capsys, fig333_file, monkeypatch):
+        # the zero weight makes all 64 circuit-free words of fig 3.3.3 witnesses
+        monkeypatch.setenv("WEIGHTCELL_CAPS", "words=10")
+        code, out, err = run(capsys, "bound", fig333_file, "--phi", "s=0,t=0,u=0")
+        assert (code, out) == (3, "")
+        error = json.loads(err)["error"]
+        assert "circuit-free words" in error["message"]
+        assert (error["stage"], error["cap"]) == ("circuit-free words", 10)
+
     def test_bad_phi_exit_2(self, capsys, fig246_file):
         code, _, err = run(capsys, "bound", fig246_file, "--phi", "s=1")
         assert code == 2 and json.loads(err)["error"]["code"] == 2
@@ -288,6 +297,7 @@ class TestCoxeterCommands:
         assert error["code"] == 3
         assert error["type"] == "ResourceLimitError"
         assert "minimal roots" in error["message"]
+        assert (error["stage"], error["cap"]) == ("minimal roots", 2)
 
 
 def test_cli_import_leaves_mpmath_unloaded():

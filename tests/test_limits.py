@@ -1,7 +1,10 @@
-"""Cap configuration parsing."""
+"""Cap configuration parsing, and the one-Caps-value design."""
+
+import inspect
 
 import pytest
 
+from weightcell import automata, cones, coxeter, limits, weights
 from weightcell.errors import InputError
 from weightcell.limits import Caps
 
@@ -34,3 +37,22 @@ def test_bad_entries():
 def test_env_var(monkeypatch):
     monkeypatch.setenv("WEIGHTCELL_CAPS", "words=123")
     assert Caps.from_env().words == 123
+
+
+def test_every_cap_is_one_caps_keyword():
+    # A cap reaches every layer only if each enumerating function takes the
+    # whole Caps value: no max_* integers, no module-level MAX_* constants.
+    assert not [name for name in vars(limits) if name.startswith("MAX_")]
+    capped = set()
+    for module in (automata, cones, coxeter, weights):
+        for name, obj in vars(module).items():
+            fn = inspect.unwrap(obj)
+            if not inspect.isfunction(fn) or fn.__module__ != module.__name__:
+                continue
+            where = f"{module.__name__}.{name}"
+            for p in inspect.signature(fn).parameters.values():
+                assert not p.name.startswith("max_"), where
+                if p.name == "caps" or p.annotation in ("Caps", Caps) or isinstance(p.default, Caps):
+                    assert (p.name, p.default) == ("caps", Caps()), where
+                    capped.add(name)
+    assert {"determinize", "extreme_rays", "circuit_free_words", "bound", "group_cell"} <= capped

@@ -12,7 +12,8 @@ from weightcell.automata import (
     equivalent,
     trim,
 )
-from weightcell.errors import InputError, PreconditionError, UnboundedError
+from weightcell.errors import InputError, PreconditionError, ResourceLimitError, UnboundedError
+from weightcell.limits import Caps
 from weightcell.weights import (
     CellResult,
     SimpleCycle,
@@ -214,10 +215,8 @@ class TestSimpleCycles:
         assert words == {a.word("ss"), a.word("ts")}
 
     def test_cap(self, fig_246):
-        from weightcell.errors import ResourceLimitError
-
         with pytest.raises(ResourceLimitError):
-            simple_cycles(fig_246, max_cycles=2)
+            simple_cycles(fig_246, caps=Caps(cycles=2))
 
     def test_against_networkx_on_random_digraphs(self):
         nx = pytest.importorskip("networkx")
@@ -468,6 +467,31 @@ class TestStrictlyNegativeCell:
         with pytest.raises(UnboundedError) as info:
             strictly_negative_cell(a, phi)
         assert info.value.word == expected.value.word == ("c",)
+
+
+class TestWordsCap:
+    # With the zero weight the tight sub-automaton of fig 3.3.3 is the whole
+    # DFA, so all 64 of its circuit-free words are witnesses.
+
+    def test_default_caps(self, fig_333):
+        phi = wv(fig_333, "s=0,t=0,u=0")
+        words = circuit_free_words(fig_333)
+        assert len(words) == 64
+        assert bound(fig_333, phi) == CellResult(Fraction(0), tuple(words))
+        result = cell_automaton(fig_333, phi)
+        assert result.cell_nfa == fig_333 and result.witnesses == tuple(words)
+
+    def test_cap_is_exceeded_only_past_its_value(self, fig_333):
+        assert len(circuit_free_words(fig_333, caps=Caps(words=64))) == 64
+        with pytest.raises(ResourceLimitError, match="circuit-free words"):
+            circuit_free_words(fig_333, caps=Caps(words=63))
+
+    def test_witness_enumerations_obey_the_cap(self, fig_333):
+        phi = wv(fig_333, "s=0,t=0,u=0")
+        for engine in (bound, cell_automaton):
+            with pytest.raises(ResourceLimitError) as info:
+                engine(fig_333, phi, Caps(words=10))
+            assert (info.value.what, info.value.cap) == ("circuit-free words", 10)
 
 
 # -- structural properties -----------------------------------------------------
