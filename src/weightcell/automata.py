@@ -368,14 +368,14 @@ def _remap_to(a: Automaton, alphabet: tuple[str, ...]) -> Automaton:
     )
 
 
-def counterexample(a: Automaton, b: Automaton) -> Word | None:
+def counterexample(a: Automaton, b: Automaton, caps: Caps = Caps()) -> Word | None:
     """Shortest (then lexicographically least) word in the symmetric difference.
 
     Returns None when the languages agree.  Requires equal alphabets as sets
     of letter names; b is remapped to a's letter order.
     """
     b = _remap_to(b, a.alphabet)
-    da, db = determinize(a), determinize(b)
+    da, db = determinize(a, caps), determinize(b, caps)
     ta = {k: v[0] for k, v in _delta(da).items()}
     tb = {k: v[0] for k, v in _delta(db).items()}
     sink_a, sink_b = da.n_states, db.n_states
@@ -401,9 +401,9 @@ def counterexample(a: Automaton, b: Automaton) -> Word | None:
     return None
 
 
-def equivalent(a: Automaton, b: Automaton) -> bool:
+def equivalent(a: Automaton, b: Automaton, caps: Caps = Caps()) -> bool:
     """True iff the two automata recognise the same language."""
-    return counterexample(a, b) is None
+    return counterexample(a, b, caps) is None
 
 
 # ---------------------------------------------------------------------------

@@ -307,7 +307,7 @@ def _cmd_cell(args) -> int:
 def _cmd_coxeter(args) -> int:
     caps = _caps(args)
     if args.subcommand == "closed-form":
-        return _cmd_closed_form(args)
+        return _cmd_closed_form(args, caps)
     sys_ = _load_system(args)
     if args.subcommand == "build":
         a = coxeter.language_automaton(sys_, args.lang, caps)
@@ -354,7 +354,7 @@ def _cmd_coxeter(args) -> int:
     raise InputError(f"unknown coxeter subcommand {args.subcommand!r}")
 
 
-def _cmd_closed_form(args) -> int:
+def _cmd_closed_form(args, caps: Caps) -> int:
     params = dict(weights.assignments(args.phi))
 
     def need(*names):
@@ -380,7 +380,7 @@ def _cmd_closed_form(args) -> int:
         if not args.file:
             raise InputError("closed-form nonneg needs --file with a Coxeter matrix")
         sys_ = coxeter.system_from_json(_read(args.file))
-        result = spherical_nonneg(sys_, params)
+        result = spherical_nonneg(sys_, params, caps)
     else:  # affine families
         need("a", "b")
         spec = affine_cone(
@@ -444,7 +444,8 @@ def _cmd_probe(args, sys_, caps: Caps) -> int:
         for group, value in zip(classes, values):
             for i in group:
                 assignment[sys_.generators[i]] = value
-        result = coxeter.group_cell(sys_, assignment, args.lang, caps)
+        phi = weights.WeightVector.from_mapping(sys_.generators, assignment)
+        result = weights.bound(a, phi, caps)
         witness_info = []
         for w in result.witnesses:
             support = tuple(sorted(set(w)))

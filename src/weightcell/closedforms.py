@@ -19,6 +19,7 @@ from functools import lru_cache
 from .automata import Word
 from .coxeter import (
     CoxeterSystem,
+    _as_weight_vector,
     is_positive_definite,
     lex_word,
     longest_element,
@@ -27,6 +28,7 @@ from .coxeter import (
     right_mul,
 )
 from .errors import InputError
+from .limits import Caps
 from .weights import WeightVector, weight_of_word
 
 __all__ = [
@@ -70,15 +72,13 @@ def _sorted_words(words) -> tuple[Word, ...]:
 # ---------------------------------------------------------------------------
 
 
-def spherical_nonneg(sys: CoxeterSystem, assignment) -> SphericalFormulaResult:
+def spherical_nonneg(
+    sys: CoxeterSystem, assignment, caps: Caps = Caps()
+) -> SphericalFormulaResult:
     """All-non-negative weights on a finite system: the bound is the weight
     of the longest element and the cell is its coset by the zero-weight
     parabolic subgroup."""
-    phi = (
-        assignment
-        if isinstance(assignment, WeightVector)
-        else WeightVector.from_mapping(sys.generators, assignment)
-    )
+    phi = _as_weight_vector(sys, assignment)
     if not is_positive_definite(sys):
         raise InputError("the Coxeter system is infinite")
     if any(v < 0 for v in phi.values):
@@ -86,7 +86,8 @@ def spherical_nonneg(sys: CoxeterSystem, assignment) -> SphericalFormulaResult:
     w0 = longest_element(sys)
     w0_word = lex_word(sys, w0)
     zero_letters = tuple(i for i, v in enumerate(phi.values) if v == 0)
-    coset = [right_mul_word(sys, w0, y) for y in _parabolic_words(sys, zero_letters)]
+    parabolic = parabolic_elements(sys, zero_letters, caps).values() if zero_letters else [()]
+    coset = [right_mul_word(sys, w0, y) for y in parabolic]
     cell = _sorted_words(lex_word(sys, g) for g in coset)
     return SphericalFormulaResult(sys.generators, weight_of_word(phi, w0_word), cell)
 
@@ -95,10 +96,6 @@ def right_mul_word(sys, g, word):
     for s in word:
         g = right_mul(g, s)
     return g
-
-
-def _parabolic_words(sys, letters):
-    return [lex_word(sys, g) for g in parabolic_elements(sys, letters)] if letters else [()]
 
 
 # ---------------------------------------------------------------------------

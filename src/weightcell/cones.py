@@ -102,16 +102,16 @@ def _satisfies(v: VRep, normal) -> bool:
     )
 
 
-def implies(h1: HRep, h2: HRep) -> bool:
+def implies(h1: HRep, h2: HRep, caps: Caps = Caps()) -> bool:
     """True iff cone(h1) is contained in cone(h2) (h1's inequalities imply h2's)."""
     if h1.dim != h2.dim:
         raise InputError("dimension mismatch")
-    v = extreme_rays(h1)
+    v = extreme_rays(h1, caps)
     return all(_satisfies(v, n) for n in h2.normals)
 
 
-def same_cone(h1: HRep, h2: HRep) -> bool:
-    return implies(h1, h2) and implies(h2, h1)
+def same_cone(h1: HRep, h2: HRep, caps: Caps = Caps()) -> bool:
+    return implies(h1, h2, caps) and implies(h2, h1, caps)
 
 
 def contains(h: HRep, point) -> bool:

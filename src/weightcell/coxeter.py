@@ -39,7 +39,6 @@ from .weights import (
     WeightVector,
     cell_automaton,
     circuit_free_words,
-    is_bounded,
     prepared,
     simple_circuit_words,
 )
@@ -511,17 +510,20 @@ def shortlex_automaton(sys: CoxeterSystem, caps: Caps = Caps()) -> Automaton:
 
 @lru_cache(maxsize=8)
 def _ball_entries(
-    sys: CoxeterSystem, radius: int, caps: Caps = Caps()
+    sys: CoxeterSystem, radius: int, caps: Caps = Caps(), letters: tuple[int, ...] | None = None
 ) -> tuple[tuple[GroupElement, Word], ...]:
+    """The ball of `ball`, over the ascending generator tuple `letters`
+    (default: all of them)."""
     if radius < 0:
         raise InputError("radius must be >= 0")
+    letters = range(sys.rank) if letters is None else letters
     e = identity(sys)
     seen: dict[IntMatrix, tuple[GroupElement, Word]] = {e.mat: (e, ())}
     frontier = [(e, ())]
     for _ in range(radius):
         nxt = []
         for g, word in frontier:
-            for s in range(sys.rank):
+            for s in letters:
                 mat = _right_mul_matrix(sys, g.mat, s)
                 if mat not in seen:
                     if len(seen) >= caps.elements:
@@ -544,13 +546,6 @@ def ball(sys: CoxeterSystem, radius: int, caps: Caps = Caps()) -> dict[GroupElem
     normal form (the shortlex language is prefix closed).
     """
     return dict(_ball_entries(sys, radius, caps))
-
-
-def saturated_ball(sys: CoxeterSystem, caps: Caps = Caps()) -> dict[GroupElement, Word]:
-    """The whole group, for finite systems (BFS until the frontier empties)."""
-    if not is_positive_definite(sys):
-        raise InputError("the Coxeter system is not finite")
-    return ball(sys, caps.elements, caps)
 
 
 # ---------------------------------------------------------------------------
@@ -582,14 +577,9 @@ def weight_classes(sys: CoxeterSystem) -> tuple[tuple[int, ...], ...]:
 
 def validate_weight(sys: CoxeterSystem, assignment) -> bool:
     """True iff the letter assignment extends to a weight function on the
-    group: equal values across every odd bond."""
+    group: constant on every odd-bond class."""
     phi = _as_weight_vector(sys, assignment)
-    for i in range(sys.rank):
-        for j in range(i + 1, sys.rank):
-            m = sys.matrix[i][j]
-            if m != INFINITE and m % 2 == 1 and phi.values[i] != phi.values[j]:
-                return False
-    return True
+    return all(len({phi.values[i] for i in group}) == 1 for group in weight_classes(sys))
 
 
 def _as_weight_vector(sys: CoxeterSystem, assignment) -> WeightVector:
@@ -637,19 +627,15 @@ def group_cell(
         raise InputError(
             "assignment does not extend to a weight function (odd-bond values differ)"
         )
-    a = language_automaton(sys, language, caps)
-    d = prepared(a, caps)
-    report = is_bounded(d, phi, caps)
-    if not report.bounded:
-        cyc = report.violating_cycle
+    d = prepared(language_automaton(sys, language, caps), caps)
+    try:
+        cell = cell_automaton(d, phi, caps)
+    except UnboundedError as exc:
         raise UnboundedError(
-            "weight function is unbounded on the group",
-            cycle=cyc,
-            word=tuple(sys.generators[i] for i in cyc.word()),
-        )
+            "weight function is unbounded on the group", cycle=exc.cycle, word=exc.word
+        ) from None
     X = frozenset(natural_map(sys, w) for w in simple_circuit_words(d, caps))
-    Y = frozenset(natural_map(sys, w) for w in circuit_free_words(d, caps=caps))
-    cell = cell_automaton(d, phi, caps)
+    Y = frozenset(natural_map(sys, w) for w in circuit_free_words(d, caps))
     return GroupCellResult(
         language, X, Y, cell.bound, cell.witnesses, cell.cell_nfa, cell.cell_dfa
     )
@@ -684,7 +670,7 @@ class HeckeOneDim:
     cell_dfa: Automaton
 
 
-def hecke_onedim(sys: CoxeterSystem, psi, signs) -> HeckeOneDim:
+def hecke_onedim(sys: CoxeterSystem, psi, signs, caps: Caps = Caps()) -> HeckeOneDim:
     """One-dimensional representations of the weighted Hecke algebra send
     each generator to +q^psi(s) or -q^-psi(s); the degree map is then the
     weight function phi(s) = sign(s)*psi(s).  Signs must be constant on
@@ -718,7 +704,7 @@ def hecke_onedim(sys: CoxeterSystem, psi, signs) -> HeckeOneDim:
             Fraction(int(psi_map[name]) * sign_map[name]) for name in sys.generators
         ),
     )
-    result = group_cell(sys, phi, "lex")
+    result = group_cell(sys, phi, "lex", caps)
     return HeckeOneDim(phi, result.bound, result.cell_dfa)
 
 
@@ -762,24 +748,15 @@ def longest_element(sys: CoxeterSystem) -> GroupElement:
         g = right_mul(g, ascent)
 
 
-def parabolic_elements(sys: CoxeterSystem, subset, caps: Caps = Caps()) -> list[GroupElement]:
+def parabolic_elements(
+    sys: CoxeterSystem, subset, caps: Caps = Caps()
+) -> dict[GroupElement, Word]:
     """All elements of the standard parabolic subgroup on `subset` (which
-    must generate a finite subgroup)."""
+    must generate a finite subgroup) with their shortlex normal forms, in
+    breadth-first order.  Every reduced word of an element of W_J uses only
+    letters of J, so the ball over J reaches each element first by its
+    normal form."""
     indices = tuple(sorted(subset))
     if not is_positive_definite(sys, indices):
         raise InputError("the parabolic subgroup is infinite")
-    e = identity(sys)
-    seen = {e.mat: e}
-    frontier = [e]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for s in indices:
-                h = right_mul(g, s)
-                if h.mat not in seen:
-                    if len(seen) >= caps.elements:
-                        raise ResourceLimitError("parabolic elements", caps.elements)
-                    seen[h.mat] = h
-                    nxt.append(h)
-        frontier = nxt
-    return list(seen.values())
+    return dict(_ball_entries(sys, caps.elements, caps, indices))

@@ -275,14 +275,7 @@ class CycloReal:
             return o * self.coeffs[0]
         if o.is_rational():
             return self * o.coeffs[0]
-        a, b = self.coeffs, o.coeffs
-        prod = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] += x * y
-        return CycloReal(self.modulus, _reduce(self.modulus, prod))
+        return CycloReal(self.modulus, _reduce(self.modulus, _q_mul(self.coeffs, o.coeffs)))
 
     __rmul__ = __mul__
 

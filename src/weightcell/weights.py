@@ -253,16 +253,11 @@ def simple_circuit_words(a: Automaton, caps: Caps = Caps()) -> list[Word]:
 # ---------------------------------------------------------------------------
 
 
-def circuit_free_words(
-    a: Automaton, strict_graph_sense: bool = False, caps: Caps = Caps()
-) -> list[Word]:
-    """Accepted words whose path revisits no state at positions 1..n.
-
-    By default the start state at position 0 is excluded from the
-    distinctness comparison; with `strict_graph_sense` the path may not
-    revisit the start either (both conventions coincide whenever the start
-    state has no incoming edge).  Output in shortlex order; more than
-    `caps.words` words raise ResourceLimitError.
+def circuit_free_words(a: Automaton, caps: Caps = Caps()) -> list[Word]:
+    """Accepted words whose path revisits no state at positions 1..n (the
+    start state at position 0 is excluded from the distinctness
+    comparison).  Output in shortlex order; more than `caps.words` words
+    raise ResourceLimitError.
     """
     if not a.deterministic:
         raise InputError("circuit_free_words requires a deterministic automaton")
@@ -275,7 +270,7 @@ def circuit_free_words(
         edges.sort()
 
     words: list[Word] = [()] if a.start in a.accept else []
-    visited: set[int] = {a.start} if strict_graph_sense else set()
+    visited: set[int] = set()
     word: list[int] = []
     stack = [(a.start, iter(adjacency[a.start]))]  # depth-first, no recursion
     while stack:

@@ -221,6 +221,24 @@ class TestCoxeterCommands:
         assert doc["bound"] == "1"
         assert doc["Y_size"] == 92
 
+    def test_bound_unbounded_on_the_group(self, capsys, tmp_path):
+        path = tmp_path / "aff333.json"
+        path.write_text(
+            json.dumps(
+                {"generators": ["s", "t", "u"], "matrix": [[1, 3, 3], [3, 1, 3], [3, 3, 1]]}
+            )
+        )
+        code, out, err = run(
+            capsys, "coxeter", "bound", str(path), "--phi", "s=1,t=1,u=1"
+        )
+        assert (code, out) == (4, "")
+        assert err == (
+            '{\n  "error": {\n    "code": 4,\n    "type": "UnboundedError",\n'
+            '    "message": "weight function is unbounded on the group",\n'
+            '    "violating_circuit": [\n      "s",\n      "t",\n      "s",\n      "u"\n'
+            "    ]\n  }\n}\n"
+        )
+
     def test_bound_rejects_incompatible_weight(self, capsys, tmp_path):
         path = tmp_path / "aff333.json"
         path.write_text(

@@ -14,11 +14,12 @@ from weightcell.closedforms import (
     spherical_nonneg,
 )
 from weightcell.cones import HRep, implies, remove_redundant, same_cone
-from weightcell.coxeter import ball, natural_map
+from weightcell.automata import enumerate_words
+from weightcell.coxeter import CoxeterSystem, ball, group_cell, natural_map
 from weightcell.errors import InputError
 from weightcell.weights import WeightVector, weight_of_word
 
-from conftest import b_series_system, dihedral_system, triangle_system
+from conftest import b_series_system, dihedral_system, f4_system, triangle_system
 
 
 def brute_force(sys, weights_by_index, radius=200):
@@ -62,6 +63,31 @@ class TestSphericalNonneg:
     def test_rejects_negative(self):
         with pytest.raises(InputError):
             spherical_nonneg(dihedral_system(4), {"s": -1, "t": 1})
+
+    def test_rejects_foreign_alphabet(self):
+        with pytest.raises(InputError):
+            spherical_nonneg(dihedral_system(4), WeightVector(("x", "y"), (1, 0)))
+
+    @pytest.mark.parametrize(
+        "sys, values",
+        [
+            (b_series_system(3), (1, 1, 0)),
+            (b_series_system(3), (0, 0, 2)),
+            # every bond of H3 is odd, so a weight with a zero is zero on all
+            (CoxeterSystem(("s1", "s2", "s3"), ((1, 5, 2), (5, 1, 3), (2, 3, 1))), (0, 0, 0)),
+            (f4_system(), (1, 1, 0, 0)),
+            (f4_system(), (0, 0, 3, 3)),
+        ],
+    )
+    def test_zero_weights_match_the_group_cell(self, sys, values):
+        # the coset w0 W_J against the tight sub-automaton of the shortlex
+        # language: same bound, and the cell is the finite language of the
+        # cell DFA
+        phi = WeightVector(sys.generators, values)
+        result = spherical_nonneg(sys, phi)
+        oracle = group_cell(sys, phi, "lex")
+        assert result.bound == oracle.bound
+        assert set(result.cell) == set(enumerate_words(oracle.cell_dfa, oracle.cell_dfa.n_states))
 
 
 class TestDihedral:

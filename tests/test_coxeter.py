@@ -283,6 +283,9 @@ class TestFiniteness:
 
     def test_parabolic_elements(self, sys_246):
         assert len(parabolic_elements(sys_246, (0, 1))) == 8  # I2(4)
+        for sys, subset in ((b_series_system(3), (0, 2)), (f4_system(), (1, 2, 3))):
+            elements = parabolic_elements(sys, subset)
+            assert all(word == lex_word(sys, g) for g, word in elements.items())
         with pytest.raises(InputError):
             parabolic_elements(triangle_system(3, 3, 3), (0, 1, 2))
 
@@ -452,6 +455,22 @@ class TestGroupCell:
 
         for x in result.X:
             assert weight_of_word(phi, lex_word(sys_246, x)) <= 0
+
+    def test_one_circuit_search_per_cell(self, sys_246, monkeypatch):
+        # the bound, witnesses and cell come from one core call; only X
+        # needs the circuits a second time
+        import weightcell.weights as weights
+
+        calls = []
+        original = weights.simple_cycles
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(weights, "simple_cycles", counting)
+        group_cell(sys_246, {"s": 1, "t": 2, "u": -5})
+        assert len(calls) == 2
 
     def test_238_zero_circuit_error_path(self):
         sys = triangle_system(2, 3, 8)

@@ -1,12 +1,19 @@
 """Cap configuration parsing, and the one-Caps-value design."""
 
+import ast
 import inspect
+from pathlib import Path
 
 import pytest
 
-from weightcell import automata, cones, coxeter, limits, weights
-from weightcell.errors import InputError
+import weightcell
+from weightcell import automata, closedforms, cones, coxeter, limits, weights
+from weightcell.cones import HRep
+from weightcell.errors import InputError, ResourceLimitError
 from weightcell.limits import Caps
+from weightcell.weights import WeightVector
+
+from conftest import b_series_system, triangle_333_shortlex_automaton
 
 
 def test_defaults():
@@ -44,7 +51,7 @@ def test_every_cap_is_one_caps_keyword():
     # whole Caps value: no max_* integers, no module-level MAX_* constants.
     assert not [name for name in vars(limits) if name.startswith("MAX_")]
     capped = set()
-    for module in (automata, cones, coxeter, weights):
+    for module in (automata, closedforms, cones, coxeter, weights):
         for name, obj in vars(module).items():
             fn = inspect.unwrap(obj)
             if not inspect.isfunction(fn) or fn.__module__ != module.__name__:
@@ -55,4 +62,97 @@ def test_every_cap_is_one_caps_keyword():
                 if p.name == "caps" or p.annotation in ("Caps", Caps) or isinstance(p.default, Caps):
                     assert (p.name, p.default) == ("caps", Caps()), where
                     capped.add(name)
-    assert {"determinize", "extreme_rays", "circuit_free_words", "bound", "group_cell"} <= capped
+    assert {
+        "determinize", "extreme_rays", "circuit_free_words", "bound", "group_cell",
+        "spherical_nonneg",
+    } <= capped
+
+
+def _callers_dropping_caps() -> list[str]:
+    """Calls inside the package to a function that takes `caps` but that
+    leave the caps parameter to its default, as "caller -> callee".  Names
+    resolve by module: a bare name to the module's own function or to its
+    `from .module import name`, `module.name` to `from . import module`."""
+    package = Path(weightcell.__file__).parent
+    trees = {p.stem: ast.parse(p.read_text()) for p in package.glob("*.py")}
+    caps_position = {}  # (module, function) -> index of the positional `caps`, or None
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                params = [a.arg for a in node.args.posonlyargs + node.args.args]
+                if "caps" in params:
+                    caps_position[(module, node.name)] = params.index("caps")
+                elif "caps" in [a.arg for a in node.args.kwonlyargs]:
+                    caps_position[(module, node.name)] = None
+    dropped = []
+    for module, tree in trees.items():
+        names = {n.name: (module, n.name) for n in tree.body if isinstance(n, ast.FunctionDef)}
+        modules = {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    local = alias.asname or alias.name
+                    if node.module is None:
+                        modules[local] = alias.name
+                    else:
+                        names[local] = (node.module, alias.name)
+        for top in tree.body:
+            for call in ast.walk(top):
+                if not isinstance(call, ast.Call):
+                    continue
+                f = call.func
+                if isinstance(f, ast.Name):
+                    callee = names.get(f.id)
+                elif isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name):
+                    callee = (modules.get(f.value.id), f.attr)
+                else:
+                    continue
+                if callee not in caps_position:
+                    continue
+                position = caps_position[callee]
+                passed = (
+                    any(k.arg in ("caps", None) for k in call.keywords)
+                    or (position is not None and len(call.args) > position)
+                    or any(isinstance(a, ast.Starred) for a in call.args)
+                )
+                if not passed:
+                    caller = f"{module}.{getattr(top, 'name', '<module>')}"
+                    dropped.append(f"{caller} -> {'.'.join(callee)}")
+    return sorted(set(dropped))
+
+
+def test_every_caller_passes_its_caps():
+    # A cap reaches a layer only if each caller hands its own caps on.
+    assert _callers_dropping_caps() == []
+
+
+def test_counterexample_and_equivalent_obey_caps():
+    a = triangle_333_shortlex_automaton()
+    for fn in (automata.counterexample, automata.equivalent):
+        with pytest.raises(ResourceLimitError):
+            fn(a, a, Caps(states=1))
+
+
+def test_implies_and_same_cone_obey_caps():
+    # the third normal takes the combination step, which counts the rays
+    quadrant = HRep(2, ((-1, 0), (0, -1), (-1, -1)))
+    for fn in (cones.implies, cones.same_cone):
+        assert fn(quadrant, quadrant)
+        with pytest.raises(ResourceLimitError):
+            fn(quadrant, quadrant, Caps(rays=1))
+
+
+def test_hecke_onedim_obeys_caps():
+    sys = b_series_system(3)
+    with pytest.raises(ResourceLimitError):
+        psi, signs = {n: 1 for n in sys.generators}, {n: "+" for n in sys.generators}
+        coxeter.hecke_onedim(sys, psi, signs, Caps(states=2))
+
+
+def test_spherical_nonneg_obeys_caps():
+    sys = b_series_system(3)
+    phi = WeightVector(sys.generators, (1, 1, 0))
+    assert len(closedforms.spherical_nonneg(sys, phi).cell) == 2
+    with pytest.raises(ResourceLimitError) as info:
+        closedforms.spherical_nonneg(sys, phi, Caps(elements=1))
+    assert (info.value.what, info.value.cap) == ("group elements", 1)

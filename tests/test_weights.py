@@ -287,17 +287,11 @@ class TestCircuitFree:
         }
         assert set(circuit_free_words(fig_333)) == by_enumeration
 
-    def test_strict_convention_agrees_when_start_has_no_in_edges(self, fig_246):
-        assert circuit_free_words(fig_246) == circuit_free_words(
-            fig_246, strict_graph_sense=True
-        )
-
-    def test_strict_convention_differs_when_start_reenterable(self):
-        # single state with a loop: the empty word and "s" are circuit free in
-        # the positional sense; strict graph sense forbids re-entering start
+    def test_path_may_reenter_the_start_once(self):
+        # single state with a loop: the start at position 0 is left out of
+        # the distinctness comparison, so "s" is circuit free and "ss" is not
         a = Automaton(("s",), 1, 0, frozenset({0}), ((0, 0, 0),))
-        assert set(circuit_free_words(a)) == {(), (0,)}
-        assert set(circuit_free_words(a, strict_graph_sense=True)) == {()}
+        assert circuit_free_words(a) == [(), (0,)]
 
     def test_requires_dfa(self, ex_cell_nfa):
         with pytest.raises(InputError):
