@@ -10,171 +10,19 @@ cyclotomic arithmetic and minimal roots, with closed-form calculators for
 the finite and affine families that admit non-constant weight functions.
 """
 
-from .automata import (
-    Automaton,
-    Word,
-    accepts,
-    counterexample,
-    determinize,
-    enumerate_words,
-    equivalent,
-    from_json,
-    minimize,
-    reverse,
-    to_dot,
-    to_json,
-    trim,
-)
-from .closedforms import (
-    AffineConeSpec,
-    SphericalFormulaResult,
-    affine_cone,
-    bn_bound,
-    dihedral_bound,
-    f4_bound,
-    spherical_nonneg,
-)
-from .cones import (
-    HRep,
-    VRep,
-    cone_from_circuits,
-    contains,
-    extreme_rays,
-    facets,
-    implies,
-    interior,
-    project_parameters,
-    remove_redundant,
-    same_cone,
-)
-from .coxeter import (
-    CoxeterSystem,
-    GroupCellResult,
-    GroupElement,
-    HeckeOneDim,
-    MinimalRootTable,
-    ball,
-    group_cell,
-    hecke_onedim,
-    identity,
-    is_positive_definite,
-    left_descents,
-    length,
-    lex_word,
-    longest_element,
-    minimal_roots,
-    natural_map,
-    parabolic_consistency,
-    reduced_word_automaton,
-    shortlex_automaton,
-    system_from_json,
-    system_to_json,
-    validate_weight,
-    weight_classes,
-)
-from .cyclo import CycloReal, embed_2cos, minimal_polynomial_of_2cos, sign
-from .errors import (
-    InputError,
-    PreconditionError,
-    ResourceLimitError,
-    UnboundedError,
-    WeightcellError,
-)
+from . import automata, closedforms, cones, coxeter, cyclo, weights
+from .automata import *
+from .closedforms import *
+from .cones import *
+from .coxeter import *
+from .cyclo import *
+from .errors import InputError, PreconditionError, ResourceLimitError, UnboundedError, WeightcellError
 from .limits import Caps
-from .weights import (
-    BoundednessReport,
-    CellResult,
-    SimpleCycle,
-    WeightVector,
-    bound,
-    cell_automaton,
-    circuit_free_words,
-    is_bounded,
-    parse_weights,
-    simple_circuit_words,
-    simple_cycles,
-    strictly_negative_cell,
-    weight_of_word,
-)
+from .weights import *
 
-__all__ = [
-    "AffineConeSpec",
-    "Automaton",
-    "BoundednessReport",
-    "Caps",
-    "CellResult",
-    "CoxeterSystem",
-    "CycloReal",
-    "GroupCellResult",
-    "GroupElement",
-    "HRep",
-    "HeckeOneDim",
-    "InputError",
-    "MinimalRootTable",
-    "PreconditionError",
-    "ResourceLimitError",
-    "SimpleCycle",
-    "SphericalFormulaResult",
-    "UnboundedError",
-    "VRep",
-    "WeightVector",
-    "WeightcellError",
-    "Word",
-    "accepts",
-    "affine_cone",
-    "ball",
-    "bn_bound",
-    "bound",
-    "cell_automaton",
-    "circuit_free_words",
-    "cone_from_circuits",
-    "contains",
-    "counterexample",
-    "determinize",
-    "dihedral_bound",
-    "embed_2cos",
-    "enumerate_words",
-    "equivalent",
-    "extreme_rays",
-    "f4_bound",
-    "facets",
-    "from_json",
-    "group_cell",
-    "hecke_onedim",
-    "identity",
-    "implies",
-    "interior",
-    "is_bounded",
-    "is_positive_definite",
-    "left_descents",
-    "length",
-    "lex_word",
-    "longest_element",
-    "minimal_polynomial_of_2cos",
-    "minimal_roots",
-    "minimize",
-    "natural_map",
-    "parabolic_consistency",
-    "parse_weights",
-    "project_parameters",
-    "reduced_word_automaton",
-    "remove_redundant",
-    "reverse",
-    "same_cone",
-    "shortlex_automaton",
-    "sign",
-    "simple_circuit_words",
-    "simple_cycles",
-    "spherical_nonneg",
-    "strictly_negative_cell",
-    "system_from_json",
-    "system_to_json",
-    "to_dot",
-    "to_json",
-    "trim",
-    "validate_weight",
-    "weight_classes",
-    "weight_of_word",
-]
+__all__ = sorted(
+    [name for module in (automata, closedforms, cones, coxeter, cyclo, weights) for name in module.__all__]
+    + ["Caps", "InputError", "PreconditionError", "ResourceLimitError", "UnboundedError", "WeightcellError"]
+)
 
 __version__ = "0.1.0"

@@ -200,8 +200,7 @@ def _cmd_automaton(args) -> int:
 def _cone_document(a: automata.Automaton, caps: Caps) -> tuple[dict, cones.HRep]:
     """The letter cone's document, and the raw cone it was reduced from."""
     raw = cones.HRep(len(a.alphabet), tuple(weights.boundedness_cone_vectors(a, caps)))
-    irred = cones.remove_redundant(raw, caps)
-    vrep = cones.extreme_rays(irred, caps)
+    irred, vrep = cones.describe(raw, caps)
     return {
         "dim": len(a.alphabet),
         "alphabet": list(a.alphabet),
@@ -217,8 +216,7 @@ def _class_cone(sys_: coxeter.CoxeterSystem, raw: cones.HRep, caps: Caps):
     weights: (classes, projected normals, irredundant normals, rays)."""
     classes = coxeter.weight_classes(sys_)
     projected = cones.project_parameters(raw, [list(g) for g in classes])
-    irred = cones.remove_redundant(projected, caps)
-    return classes, projected, irred, cones.extreme_rays(irred, caps)
+    return classes, projected, *cones.describe(projected, caps)
 
 
 def _print_cone(doc, fmt, output):

@@ -19,7 +19,7 @@ from functools import lru_cache
 from .automata import Word
 from .coxeter import (
     CoxeterSystem,
-    _as_weight_vector,
+    _group_weight,
     is_positive_definite,
     lex_word,
     longest_element,
@@ -78,7 +78,7 @@ def spherical_nonneg(
     """All-non-negative weights on a finite system: the bound is the weight
     of the longest element and the cell is its coset by the zero-weight
     parabolic subgroup."""
-    phi = _as_weight_vector(sys, assignment)
+    phi = _group_weight(sys, assignment)
     if not is_positive_definite(sys):
         raise InputError("the Coxeter system is infinite")
     if any(v < 0 for v in phi.values):

@@ -10,7 +10,6 @@ scope are small (alphabet-sized).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,8 +22,8 @@ __all__ = [
     "HRep",
     "VRep",
     "cone_from_circuits",
-    "cone_json",
     "contains",
+    "describe",
     "extreme_rays",
     "facets",
     "implies",
@@ -67,18 +66,25 @@ def cone_from_circuits(cycles, alphabet) -> HRep:
     return HRep(len(alphabet), tuple(distinct_count_vectors(cycles, len(alphabet))))
 
 
-def remove_redundant(h: HRep, caps: Caps = Caps()) -> HRep:
-    """Minimal sub-list defining the same cone, input order preserved.
+def describe(h: HRep, caps: Caps = Caps()) -> tuple[HRep, VRep]:
+    """The cone's irredundant H-representation and its V-representation,
+    from one double description of the whole list.
 
-    One double description of the whole list decides every normal when the
-    cone is full-dimensional (its rays and lineality span the space): then
-    the facets are exactly the normals whose tight generators have rank
-    dim - 1, and no other normal is needed.  A lower-dimensional cone (only
-    reachable through the API: circuit-count normals are non-negative)
-    drops normals greedily, each implied by the ones still kept."""
+    The VRep depends on the cone alone, not on the list that cuts it out:
+    the lineality basis is read off an RREF, and the rays' representatives
+    modulo the lineality are fixed by the cone's span, so `extreme_rays` of
+    the irredundant list returns the same VRep.
+
+    The minimal sub-list keeps the input order.  When the cone is
+    full-dimensional (its rays and lineality span the space) the facets are
+    exactly the normals whose tight generators have rank dim - 1, and no
+    other normal is needed.  A lower-dimensional cone (only reachable
+    through the API: circuit-count normals are non-negative) drops normals
+    greedily, each implied by the ones still kept."""
     v = extreme_rays(h, caps)
     if len(_rref(v.lineality + v.rays)) == h.dim:
-        return HRep(h.dim, tuple(n for n in h.normals if len(_rref(_tight(v, n))) == h.dim - 1))
+        kept = [n for n in h.normals if len(_rref(_tight(v, n))) == h.dim - 1]
+        return HRep(h.dim, tuple(kept)), v
     kept = list(h.normals)
     i = 0
     while i < len(kept):
@@ -87,7 +93,13 @@ def remove_redundant(h: HRep, caps: Caps = Caps()) -> HRep:
             kept.pop(i)
         else:
             i += 1
-    return HRep(h.dim, tuple(kept))
+    return HRep(h.dim, tuple(kept)), v
+
+
+def remove_redundant(h: HRep, caps: Caps = Caps()) -> HRep:
+    """Minimal sub-list defining the same cone, input order preserved
+    (the first part of `describe`)."""
+    return describe(h, caps)[0]
 
 
 def _tight(v: VRep, normal) -> tuple[tuple[int, ...], ...]:
@@ -267,16 +279,3 @@ def project_parameters(h: HRep, groups) -> HRep:
         raise InputError("groups must partition the coordinate indices")
     folded = (tuple(sum(n[i] for i in g) for g in groups) for n in h.normals)
     return HRep(len(groups), tuple(f for f in folded if any(f)))
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-
-def cone_json(h: HRep, v: VRep | None = None) -> str:
-    doc = {"dim": h.dim, "normals": [list(n) for n in h.normals]}
-    if v is not None:
-        doc["lineality"] = [list(l) for l in v.lineality]
-        doc["rays"] = [list(r) for r in v.rays]
-    return json.dumps(doc, indent=2) + "\n"

@@ -18,13 +18,12 @@ determinized, and minimized.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .automata import Automaton, Word, determinize, minimize, reverse
+from .automata import Automaton, Word, determinize, explore, minimize, reverse
 from .cyclo import (
     CycloReal,
     embed_2cos,
@@ -124,9 +123,13 @@ def system_from_json(text: str) -> CoxeterSystem:
     try:
         doc = json.loads(text)
         generators = tuple(doc["generators"])
-        matrix = tuple(tuple(int(v) for v in row) for row in doc["matrix"])
+        matrix = tuple(tuple(row) for row in doc["matrix"])
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"invalid Coxeter system document: {exc}") from None
+    if not all(isinstance(name, str) for name in generators):
+        raise InputError("generator names must be strings")
+    if not all(type(m) is int for row in matrix for m in row):  # bool is not a label
+        raise InputError("bond labels must be integers")
     return CoxeterSystem(generators, matrix)
 
 
@@ -450,16 +453,9 @@ def _subset_automaton(sys: CoxeterSystem, shortlex: bool, caps: Caps = Caps()) -
     of the suffix read so far).  All states accept.
     """
     table = minimal_roots(sys, caps)
-    n = sys.rank
-    start: frozenset[int] = frozenset()
-    index = {start: 0}
-    order = [start]
-    transitions = []
-    queue = deque([start])
-    while queue:
-        subset = queue.popleft()
-        src = index[subset]
-        for s in range(n):
+
+    def successors(subset):
+        for s in range(sys.rank):
             if s in subset:
                 continue
             updated = {s}
@@ -469,14 +465,9 @@ def _subset_automaton(sys: CoxeterSystem, shortlex: bool, caps: Caps = Caps()) -
                     updated.add(img)
             if shortlex and any(t in updated for t in range(s)):
                 continue
-            key = frozenset(updated)
-            if key not in index:
-                if len(index) >= caps.states:
-                    raise ResourceLimitError("automaton states", caps.states)
-                index[key] = len(order)
-                order.append(key)
-                queue.append(key)
-            transitions.append((src, s, index[key]))
+            yield s, frozenset(updated)
+
+    order, transitions = explore(frozenset(), successors, "automaton states", caps.states)
     return Automaton(
         sys.generators,
         len(order),
@@ -590,6 +581,17 @@ def _as_weight_vector(sys: CoxeterSystem, assignment) -> WeightVector:
     return WeightVector.from_mapping(sys.generators, assignment)
 
 
+def _group_weight(sys: CoxeterSystem, assignment) -> WeightVector:
+    """The assignment as a weight vector; InputError unless it extends to a
+    weight function on the group."""
+    phi = _as_weight_vector(sys, assignment)
+    if not validate_weight(sys, phi):
+        raise InputError(
+            "assignment does not extend to a weight function (odd-bond values differ)"
+        )
+    return phi
+
+
 @dataclass(frozen=True)
 class GroupCellResult:
     """Group-level cell data: the finite sets X (circuit images, boundedness
@@ -622,11 +624,7 @@ def group_cell(
     """Boundedness, bound, and cell of a group weight function, through the
     chosen geodesic language (shortlex is exact, so its cell automaton
     recognises one word per cell element)."""
-    phi = _as_weight_vector(sys, assignment)
-    if not validate_weight(sys, phi):
-        raise InputError(
-            "assignment does not extend to a weight function (odd-bond values differ)"
-        )
+    phi = _group_weight(sys, assignment)
     d = prepared(language_automaton(sys, language, caps), caps)
     try:
         cell = cell_automaton(d, phi, caps)

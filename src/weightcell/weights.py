@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
 
-from .automata import Automaton, Word, determinize, is_trim, minimize, trim
+from .automata import Automaton, Word, _out_edges, determinize, is_trim, minimize, trim
 from .errors import InputError, PreconditionError, ResourceLimitError, UnboundedError
 from .limits import Caps
 
@@ -177,13 +177,10 @@ def simple_cycles(a: Automaton, caps: Caps = Caps()) -> list[SimpleCycle]:
     """
     if not is_trim(a):
         raise InputError("simple_cycles requires a trimmed automaton")
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(a.n_states)]
+    adjacency = _out_edges(a)
     predecessors: list[list[int]] = [[] for _ in range(a.n_states)]
-    for src, letter, dst in a.transitions:
-        adjacency[src].append((dst, letter))
+    for src, _, dst in a.transitions:
         predecessors[dst].append(src)
-    for edges in adjacency:
-        edges.sort(key=lambda e: (e[1], e[0]))
 
     out: list[SimpleCycle] = []
 
@@ -206,7 +203,7 @@ def simple_cycles(a: Automaton, caps: Caps = Caps()) -> list[SimpleCycle]:
         while stack:
             frame = stack[-1]
             v = frame[0]
-            for dst, letter in frame[1]:
+            for letter, dst in frame[1]:
                 if dst == root:
                     out.append(SimpleCycle(root, tuple(path) + ((v, letter),)))
                     if len(out) > caps.cycles:
@@ -227,7 +224,7 @@ def simple_cycles(a: Automaton, caps: Caps = Caps()) -> list[SimpleCycle]:
                             blocked.discard(u)
                             unblock.extend(block_map.pop(u, ()))
                 else:
-                    for dst, _ in adjacency[v]:
+                    for _, dst in adjacency[v]:
                         if dst in live:
                             block_map.setdefault(dst, set()).add(v)
                 if stack:
@@ -263,12 +260,7 @@ def circuit_free_words(a: Automaton, caps: Caps = Caps()) -> list[Word]:
         raise InputError("circuit_free_words requires a deterministic automaton")
     if not is_trim(a):
         raise InputError("circuit_free_words requires a trimmed automaton")
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(a.n_states)]
-    for src, letter, dst in a.transitions:
-        adjacency[src].append((letter, dst))
-    for edges in adjacency:
-        edges.sort()
-
+    adjacency = _out_edges(a)
     words: list[Word] = [()] if a.start in a.accept else []
     visited: set[int] = set()
     word: list[int] = []

@@ -318,6 +318,72 @@ class TestCoxeterCommands:
         assert (error["stage"], error["cap"]) == ("minimal roots", 2)
 
 
+class TestInputTypes:
+    """Wrong JSON types and non-weight assignments end in exit 2, not in a
+    traceback or a silent coercion."""
+
+    def test_nonneg_rejects_assignment_that_is_not_a_weight_function(self, capsys, tmp_path):
+        # H3's bonds 5 and 3 are odd, so a weight function is constant
+        path = tmp_path / "h3.json"
+        path.write_text(json.dumps({"generators": ["a", "b", "c"], "matrix": [[1, 5, 2], [5, 1, 3], [2, 3, 1]]}))
+        code, out, err = run(
+            capsys, "coxeter", "closed-form", "nonneg", "--file", str(path), "--phi", "a=1,b=0,c=0"
+        )
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["type"] == "InputError"
+
+    def test_automaton_letters_must_be_strings(self, capsys, tmp_path):
+        path = tmp_path / "a.json"
+        doc = {"alphabet": [1, 2], "states": 1, "start": 0, "accept": [0], "transitions": [[0, 1, 0]]}
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "automaton", "enum", str(path), "--maxlen", "2")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["type"] == "InputError"
+
+    @pytest.mark.parametrize(
+        "generators,matrix,argv",
+        [
+            ([["s"], "t"], [[1, 3], [3, 1]], ["build"]),
+            ([1, 2], [[1, 3], [3, 1]], ["bound", "--phi", "1=1,2=1"]),
+            (["s", "t"], [[1, 3.7], [3.7, 1]], ["build"]),
+            (["s", "t"], [[True, 3], [3, True]], ["build"]),
+        ],
+        ids=["list-name", "int-names", "float-label", "bool-label"],
+    )
+    def test_coxeter_names_and_labels(self, capsys, tmp_path, generators, matrix, argv):
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps({"generators": generators, "matrix": matrix}))
+        code, out, err = run(capsys, "coxeter", argv[0], str(path), *argv[1:])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["type"] == "InputError"
+
+
+@pytest.mark.parametrize(
+    "command,calls",
+    [
+        (("cone", "FILE"), 1),
+        (("coxeter", "cone", "SYS"), 2),
+        (("coxeter", "probe-spherical", "SYS", "--samples", "2"), 1),
+    ],
+)
+def test_one_double_description_per_cone(capsys, monkeypatch, fig246_file, delta246_file, command, calls):
+    # describe() reads the irredundant normals and the rays off one run
+    import weightcell.cones as cones
+
+    counted = []
+    original = cones.extreme_rays
+
+    def counting(*args, **kwargs):
+        counted.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cones, "extreme_rays", counting)
+    files = {"FILE": fig246_file, "SYS": delta246_file}
+    code, _, _ = run(capsys, *[files.get(arg, arg) for arg in command])
+    assert code == 0
+    assert len(counted) == calls
+
+
 def test_cli_import_leaves_mpmath_unloaded():
     # every CLI call is a fresh process, so start-up time is paid per call
     src = str(Path(weightcell.__file__).resolve().parents[1])

@@ -37,6 +37,13 @@ def brute_force(sys, weights_by_index, radius=200):
 
 
 class TestSphericalNonneg:
+    def test_rejects_assignment_that_is_not_a_weight_function(self):
+        # H3's bonds 5 and 3 are both odd, so a weight function is constant
+        h3 = CoxeterSystem(("a", "b", "c"), ((1, 5, 2), (5, 1, 3), (2, 3, 1)))
+        with pytest.raises(InputError, match="does not extend to a weight function"):
+            spherical_nonneg(h3, {"a": 1, "b": 0, "c": 0})
+        assert spherical_nonneg(h3, {"a": 1, "b": 1, "c": 1}).bound == 15
+
     def test_b2_all_ones(self):
         sys = dihedral_system(4)
         result = spherical_nonneg(sys, {"s": 1, "t": 1})

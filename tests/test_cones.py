@@ -7,13 +7,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from weightcell.cones import (
     HRep,
     cone_from_circuits,
     contains,
+    describe,
     extreme_rays,
     facets,
     implies,
@@ -312,3 +313,45 @@ class TestDoubleDescriptionOracle:
         assert v.lineality == () and v.rays == ((-1, -1),)
         assert remove_redundant(flat).normals == flat.normals
         assert _reference_remove_redundant(flat) == flat.normals
+
+
+@st.composite
+def cones_in_subspaces(draw):
+    """Integer normal lists in dimensions 2 to 5.  The normals are integer
+    combinations of k drawn vectors; for k < dim they lie in a proper
+    subspace, so the cone has lineality as well as rays."""
+    dim = draw(st.integers(2, 5))
+    k = draw(st.integers(1, dim))
+    basis = draw(st.lists(_vectors(dim), min_size=k, max_size=k))
+    coefficients = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * k), min_size=1, max_size=7))
+    normals = [
+        tuple(sum(c * b[i] for c, b in zip(cs, basis)) for i in range(dim))
+        for cs in coefficients
+    ]
+    normals = [n for n in normals if any(n)]
+    assume(normals)
+    return HRep(dim, tuple(normals))
+
+
+class TestOneDoubleDescription:
+    """The VRep depends on the cone, not on the list of normals that cuts
+    it out, so `describe` serves the irredundant list and the VRep from one
+    double description of the raw list."""
+
+    @given(cones_in_subspaces())
+    @settings(max_examples=300, deadline=None)
+    def test_rays_of_the_irredundant_list(self, h):
+        irred, v = remove_redundant(h), extreme_rays(h)
+        assert extreme_rays(irred) == v
+        assert describe(h) == (irred, v)
+
+    def test_lineality_off_the_axes(self):
+        # x1 <= x2 <= x3 with the implied x1 <= x3 listed too: lineality
+        # (1, 1, 1), and ray representatives that are not axis-aligned
+        raw = HRep(3, ((1, 0, -1), (1, -1, 0), (0, 1, -1)))
+        irred, v = describe(raw)
+        assert irred.normals == ((1, -1, 0), (0, 1, -1))
+        assert v.lineality == ((1, 1, 1),) and len(v.rays) == 2
+        for order in itertools.permutations(raw.normals):
+            assert extreme_rays(HRep(3, order)) == v
+            assert extreme_rays(remove_redundant(HRep(3, order))) == v

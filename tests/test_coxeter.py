@@ -16,6 +16,7 @@ from weightcell.coxeter import (
     hecke_onedim,
     identity,
     is_positive_definite,
+    language_automaton,
     left_descents,
     length,
     lex_word,
@@ -335,6 +336,18 @@ class TestAutomata:
             enumerate_words(reduced_word_automaton(sys), radius)
             == reduced_words_oracle(sys, radius)
         )
+
+    @given(random_systems_and_words())
+    @settings(max_examples=30, deadline=None)
+    def test_language_oracles_on_random_systems(self, case):
+        # both subset automata, and the minimized DFAs built from them
+        sys, _ = case
+        radius = 4
+        lex_words = sorted(ball(sys, radius).values(), key=shortlex_key)
+        reduced_words = reduced_words_oracle(sys, radius)
+        assert enumerate_words(shortlex_automaton(sys), radius) == lex_words
+        assert enumerate_words(reduced_word_automaton(sys), radius) == reduced_words
+        assert enumerate_words(language_automaton(sys, "reduced"), radius) == reduced_words
 
     def test_lex_language_prefix_closed(self, sys_246):
         a = shortlex_automaton(sys_246)
