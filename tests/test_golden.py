@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from weightcell.automata import to_json
+from weightcell.automata import reverse, to_json
 from weightcell.cli import main
 
 from conftest import triangle_246_shortlex_automaton, triangle_333_shortlex_automaton
@@ -49,6 +49,12 @@ INPUTS = {
     "t2711.json": lambda: _triangle(2, 7, 11),
     # [3, inf, 3]: rank 4 chain with an infinite middle bond (0 is infinite)
     "c303.json": lambda: _system(("s0", "s1", "s2", "s3"), {(0, 1): 3, (1, 2): 0, (2, 3): 3}),
+    "t237.json": lambda: _triangle(2, 3, 7),
+    "h4.json": lambda: _system(("s0", "s1", "s2", "s3"), {(0, 1): 5, (1, 2): 3, (2, 3): 3}),
+    # affine B3: s0 and s1 both bonded 3 to s2, then a bond 4
+    "b3t.json": lambda: _system(("s0", "s1", "s2", "s3"), {(0, 2): 3, (1, 2): 3, (2, 3): 4}),
+    # an NFA: the reversal of the (2,4,6) shortlex DFA
+    "rev246.json": lambda: to_json(reverse(triangle_246_shortlex_automaton())),
 }
 
 # name -> (argv, files the command writes).  "c303-reduced.json" is the
@@ -76,6 +82,13 @@ CASES = {
         [],
     ),
     "bound-unbounded-333": (["bound", "fig333.json", "--phi", "s=1,t=1,u=1"], []),
+    "automaton-min-rev246": (["automaton", "min", "rev246.json"], []),
+    "coxeter-build-h4-lex": (["coxeter", "build", "h4.json", "--lang", "lex"], []),
+    "coxeter-build-237-lex-order": (
+        ["coxeter", "build", "t237.json", "--lang", "lex", "--order", "u,t,s"],
+        [],
+    ),
+    "coxeter-build-b3t-reduced": (["coxeter", "build", "b3t.json", "--lang", "reduced"], []),
     "closed-form-f4-text": (["coxeter", "closed-form", "f4", "--phi", "a=1,b=-1"], []),
     "closed-form-f4-json": (
         ["coxeter", "closed-form", "f4", "--phi", "a=2,b=-1", "--format", "json"],
