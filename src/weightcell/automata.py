@@ -170,6 +170,8 @@ def trim(a: Automaton) -> Automaton:
     useful = forward & backward
     if a.start not in useful:
         return empty_language_automaton(a.alphabet)
+    if len(useful) == a.n_states:
+        return a
     order = sorted(useful)
     renum = {old: new for new, old in enumerate(order)}
     return Automaton(
@@ -242,47 +244,85 @@ def determinize(a: Automaton, caps: Caps = Caps()) -> Automaton:
     return Automaton(a.alphabet, len(order), 0, accept, tuple(transitions))
 
 
+class _Partition:
+    """Refinable partition of range(n) (Valmari-Lehtinen 2008): set b is the
+    slice first[b]:past[b] of `elems`, and `refine` cuts every set it
+    touches into its given and other elements, numbering the smaller part
+    as a new set after all others."""
+
+    def __init__(self, n: int):
+        self.elems, self.loc, self.set_of = list(range(n)), list(range(n)), [0] * n
+        self.first, self.past, self.marked = ([0], [n], [0]) if n else ([], [], [])
+
+    def members(self, b: int) -> list[int]:
+        return self.elems[self.first[b] : self.past[b]]
+
+    def refine(self, items) -> None:
+        elems, loc, set_of, marked = self.elems, self.loc, self.set_of, self.marked
+        first, past, touched = self.first, self.past, []
+        for e in items:  # move e to the marked front of its set
+            b, i = set_of[e], loc[e]
+            j = first[b] + marked[b]
+            if i < j:
+                continue
+            other = elems[j]
+            elems[i], elems[j], loc[other], loc[e] = other, e, i, j
+            if not marked[b]:
+                touched.append(b)
+            marked[b] += 1
+        for b in touched:
+            j = first[b] + marked[b]
+            marked[b] = 0
+            if j == past[b]:
+                continue
+            parts = [(first[b], j), (j, past[b])]  # marked, unmarked
+            if j - first[b] > past[b] - j:
+                parts.reverse()
+            (lo, hi), (first[b], past[b]) = parts
+            first.append(lo)
+            past.append(hi)
+            marked.append(0)
+            for e in elems[first[-1] : past[-1]]:
+                set_of[e] = len(first) - 1
+
+
 def minimize(a: Automaton) -> Automaton:
     """Minimal DFA of the same language, canonically numbered.
 
     Partial DFAs are supported (a missing transition is an implicit reject
-    sink).  Rejects non-deterministic input.
-    """
+    sink).  Rejects non-deterministic input.  Hopcroft's refinement (1971)
+    in Valmari and Lehtinen's form for partial DFAs (2008), O(m log n) for m
+    transitions: each new block of states splits the transitions into it."""
     if not a.deterministic:
         raise InputError("minimize requires a deterministic automaton")
     a = trim(a)
     if not a.accept:
         return empty_language_automaton(a.alphabet)
-    n_letters = len(a.alphabet)
-    sink = a.n_states
-    delta = {k: v[0] for k, v in _delta(a).items()}
-
-    def step(q: int, letter: int) -> int:
-        return delta.get((q, letter), sink) if q != sink else sink
-
-    # Moore partition refinement including the implicit sink.
-    block = [1 if q in a.accept else 0 for q in range(a.n_states)] + [0]
-    while True:
-        signatures = {}
-        new_block = [0] * (a.n_states + 1)
-        for q in range(a.n_states + 1):
-            sig = (block[q],) + tuple(block[step(q, s)] for s in range(n_letters))
-            if sig not in signatures:
-                signatures[sig] = len(signatures)
-            new_block[q] = signatures[sig]
-        if new_block == block:
-            break
-        block = new_block
-    # Canonical numbering over the quotient, skipping the sink class.  The
-    # partition is stable, so any state of a block represents its successors.
-    reps = {b: q for q, b in enumerate(block)}
-    sink_block = block[sink]
+    incoming, by_letter = [[] for _ in range(a.n_states)], [[] for _ in a.alphabet]
+    for t, (_, letter, dst) in enumerate(a.transitions):
+        incoming[dst].append(t)
+        by_letter[letter].append(t)
+    sources = [src for src, _, _ in a.transitions]
+    blocks, cords = _Partition(a.n_states), _Partition(len(a.transitions))
+    blocks.refine(a.accept)
+    for group in by_letter:
+        cords.refine(group)
+    b, c = 1, 0  # block 0 never splits the transitions: Hopcroft's "all but one"
+    while c < len(cords.first):
+        blocks.refine([sources[t] for t in cords.members(c)])
+        c += 1
+        while b < len(blocks.first):
+            cords.refine([t for q in blocks.members(b) for t in incoming[q]])
+            b += 1
+    # Canonical numbering over the quotient.  The partition is stable, so
+    # any state of a block represents its successors.
+    block = blocks.set_of
+    reps = {block[q]: q for q in range(a.n_states)}
+    out = _out_edges(a)
 
     def successors(b):
-        for letter in range(n_letters):
-            tb = block[step(reps[b], letter)]
-            if tb != sink_block:
-                yield letter, tb
+        for letter, dst in out[reps[b]]:
+            yield letter, block[dst]
 
     order, transitions = explore(block[a.start], successors, "minimized states", a.n_states)
     accept = frozenset(i for i, b in enumerate(order) if reps[b] in a.accept)
@@ -434,6 +474,12 @@ def to_json(a: Automaton) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _json_int(value) -> int:
+    if type(value) is not int:  # neither a float nor a bool numbers a state
+        raise InputError(f"state numbers must be integers, got {value!r}")
+    return value
+
+
 def from_json(text: str) -> Automaton:
     try:
         doc = json.loads(text)
@@ -443,14 +489,14 @@ def from_json(text: str) -> Automaton:
         alphabet = tuple(doc["alphabet"])
         if not all(isinstance(name, str) for name in alphabet):
             raise InputError("alphabet letters must be strings")
-        n_states = int(doc["states"])
-        start = int(doc["start"])
-        accept = frozenset(int(q) for q in doc["accept"])
+        n_states = _json_int(doc["states"])
+        start = _json_int(doc["start"])
+        accept = frozenset(_json_int(q) for q in doc["accept"])
         transitions = []
         for src, letter, dst in doc["transitions"]:
             if letter not in alphabet:
                 raise InputError(f"transition uses unknown letter {letter!r}")
-            transitions.append((int(src), alphabet.index(letter), int(dst)))
+            transitions.append((_json_int(src), alphabet.index(letter), _json_int(dst)))
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"invalid automaton document: {exc}") from None
     a = Automaton(alphabet, n_states, start, accept, tuple(transitions))

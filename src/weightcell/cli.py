@@ -340,7 +340,9 @@ def _cmd_coxeter(args) -> int:
     if args.subcommand in ("bound", "cell"):
         phi = weights.parse_weights(args.phi, sys_.generators)
         result = coxeter.group_cell(sys_, phi, args.lang, caps)
-        sizes = [("X_size", len(result.X)), ("Y_size", len(result.Y))]
+        # one shortlex word per element, so distinct lex words count X and Y
+        X, Y = (result.circuit_words, result.free_words) if args.lang == "lex" else (result.X, result.Y)
+        sizes = [("X_size", len(X)), ("Y_size", len(Y))]
         if args.subcommand == "bound":
             _print_bound(result.cell_dfa, result, args.format, args.output, sizes)
         else:

@@ -9,10 +9,8 @@ kernel).  Equality is entry-wise exact, descent sets come from exact root
 signs, and the shortlex normal form is the greedy strip of the least left
 descent.
 
-The reduced-word automaton tracks the subset of minimal roots sent negative;
-the shortlex automaton is built on the reversed language (where the same
-subsets expose the left-descent data of suffixes) and then reversed,
-determinized, and minimized.
+Both language automata read words forward over sets of minimal roots, one
+int bitmask per state (Brink-Howlett 1993); the shortlex one is minimized.
 """
 
 from __future__ import annotations
@@ -20,10 +18,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 
-from .automata import Automaton, Word, determinize, explore, minimize, reverse
+from .automata import Automaton, Word, explore, minimize
 from .cyclo import (
     CycloReal,
     embed_2cos,
@@ -445,36 +443,44 @@ def minimal_roots(sys: CoxeterSystem, caps: Caps = Caps()) -> MinimalRootTable:
 
 
 def _subset_automaton(sys: CoxeterSystem, shortlex: bool, caps: Caps = Caps()) -> Automaton:
-    """BFS over subsets of minimal roots (those sent negative so far).
+    """Forward BFS over sets D of minimal roots, each an int bitmask (bit r
+    is root r of `minimal_roots`).  All states accept.
 
-    Transition on s requires alpha_s outside the subset (the word stays
-    reduced); in shortlex mode additionally no smaller generator's root may
-    lie in the updated subset (the new letter must be the least left descent
-    of the suffix read so far).  All states accept.
+    Reading s needs alpha_s outside D (the word stays reduced) and leads to
+    {alpha_s} | s(D) | extra_s, minimal roots only (Brink-Howlett 1993).
+    extra_s is empty for reduced words; for shortlex it holds s(alpha_t) for
+    every t < s, since a later letter with one of these roots could trade
+    places with a t before the s (Casselman 1994).  s(D) is read from per-s
+    tables that give, for each 8-bit chunk of D, the OR of its root images.
     """
     table = minimal_roots(sys, caps)
+    steps = []
+    for s, action in enumerate(table.action):
+        images = [1 << r if r >= 0 else 0 for r in action]
+        chunks = []
+        for c in range(0, len(images), 8):
+            chunk = [0]
+            for image in images[c : c + 8]:
+                chunk += [v | image for v in chunk]
+            chunks.append(chunk)
+        extra = sum(images[:s]) if shortlex else 0  # distinct roots: the sum is an OR
+        steps.append((s, 1 << s, extra | 1 << s, chunks))
 
-    def successors(subset):
-        for s in range(sys.rank):
-            if s in subset:
+    def successors(mask):
+        for s, bit, extra, chunks in steps:
+            if mask & bit:
                 continue
-            updated = {s}
-            for r in subset:
-                img = table.action[s][r]
-                if img >= 0:
-                    updated.add(img)
-            if shortlex and any(t in updated for t in range(s)):
-                continue
-            yield s, frozenset(updated)
+            image, rest = extra, mask
+            for chunk in chunks:
+                if not rest:
+                    break
+                image |= chunk[rest & 255]
+                rest >>= 8
+            yield s, image
 
-    order, transitions = explore(frozenset(), successors, "automaton states", caps.states)
-    return Automaton(
-        sys.generators,
-        len(order),
-        0,
-        frozenset(range(len(order))),
-        tuple(transitions),
-    )
+    order, transitions = explore(0, successors, "automaton states", caps.states)
+    n = len(order)
+    return Automaton(sys.generators, n, 0, frozenset(range(n)), tuple(transitions))
 
 
 @lru_cache(maxsize=64)
@@ -485,13 +491,9 @@ def reduced_word_automaton(sys: CoxeterSystem, caps: Caps = Caps()) -> Automaton
 
 @lru_cache(maxsize=64)
 def shortlex_automaton(sys: CoxeterSystem, caps: Caps = Caps()) -> Automaton:
-    """Minimal DFA of the shortlex normal forms (generator order as declared).
-
-    Built on the reversed language, where the minimal-root subsets expose the
-    left-descent sets of suffixes, then reversed, determinized, minimized.
-    """
-    reversed_dfa = _subset_automaton(sys, shortlex=True, caps=caps)
-    return minimize(determinize(reverse(reversed_dfa), caps))
+    """Minimal DFA of the shortlex normal forms (generator order as declared):
+    the forward minimal-root automaton in shortlex mode, minimized."""
+    return minimize(_subset_automaton(sys, shortlex=True, caps=caps))
 
 
 # ---------------------------------------------------------------------------
@@ -594,17 +596,27 @@ def _group_weight(sys: CoxeterSystem, assignment) -> WeightVector:
 
 @dataclass(frozen=True)
 class GroupCellResult:
-    """Group-level cell data: the finite sets X (circuit images, boundedness
-    test) and Y (circuit-free images, bound carrier), the bound, the
-    bound-attaining witness words, and the cell automaton."""
+    """Group-level cell data: the language DFA's simple circuit words and
+    circuit-free words, the bound, the bound-attaining witness words, and the
+    cell automaton.  X (circuit images, boundedness test) and Y (circuit-free
+    images, bound carrier) are computed on first access."""
 
+    system: CoxeterSystem
     language: str
-    X: frozenset[GroupElement]
-    Y: frozenset[GroupElement]
+    circuit_words: tuple[Word, ...]
+    free_words: tuple[Word, ...]
     bound: Fraction
     witnesses: tuple[Word, ...]
     cell_nfa: Automaton
     cell_dfa: Automaton
+
+    @cached_property
+    def X(self) -> frozenset[GroupElement]:
+        return frozenset(natural_map(self.system, w) for w in self.circuit_words)
+
+    @cached_property
+    def Y(self) -> frozenset[GroupElement]:
+        return frozenset(natural_map(self.system, w) for w in self.free_words)
 
 
 def language_automaton(sys: CoxeterSystem, language: str, caps: Caps = Caps()) -> Automaton:
@@ -632,10 +644,9 @@ def group_cell(
         raise UnboundedError(
             "weight function is unbounded on the group", cycle=exc.cycle, word=exc.word
         ) from None
-    X = frozenset(natural_map(sys, w) for w in simple_circuit_words(d, caps))
-    Y = frozenset(natural_map(sys, w) for w in circuit_free_words(d, caps))
+    circuits, free = tuple(simple_circuit_words(d, caps)), tuple(circuit_free_words(d, caps))
     return GroupCellResult(
-        language, X, Y, cell.bound, cell.witnesses, cell.cell_nfa, cell.cell_dfa
+        sys, language, circuits, free, cell.bound, cell.witnesses, cell.cell_nfa, cell.cell_dfa
     )
 
 

@@ -233,6 +233,77 @@ class TestEnumerate:
             enumerate_words(fig_333, 10, caps=Caps(words=5))
 
 
+def moore_minimize(a):
+    """Reference minimization: Moore refinement over every state plus an
+    explicit sink (no trimming: unreachable states are never numbered, and
+    dead states fall into the sink's class), then breadth-first numbering
+    from the start, letters ascending, skipping the sink's class."""
+    n, letters = a.n_states, range(len(a.alphabet))
+    delta = {(src, letter): dst for src, letter, dst in a.transitions}
+    block = [q in a.accept for q in range(n)] + [False]
+    while True:
+        sigs = [(block[q], *(block[delta.get((q, x), n)] for x in letters)) for q in range(n + 1)]
+        ids = {sig: i for i, sig in enumerate(dict.fromkeys(sigs))}
+        refined = [ids[sig] for sig in sigs]
+        if len(ids) == len(set(block)):
+            break
+        block = refined
+    if block[a.start] == block[n]:
+        return Automaton(a.alphabet, 1, 0, frozenset(), ())
+    rep = {b: q for q, b in enumerate(block)}
+    number, queue, edges = {block[a.start]: 0}, [block[a.start]], []
+    for b in queue:
+        for x in letters:
+            target = block[delta.get((rep[b], x), n)]
+            if target == block[n]:
+                continue
+            if target not in number:
+                number[target] = len(number)
+                queue.append(target)
+            edges.append((number[b], x, number[target]))
+    accept = frozenset(number[b] for b in number if rep[b] in a.accept)
+    return Automaton(a.alphabet, len(number), 0, accept, tuple(edges))
+
+
+@st.composite
+def partial_dfas(draw):
+    """Up to 9 states over 1 to 3 letters; each (state, letter) has at most
+    one target, so unreachable, dead and equivalent states all occur."""
+    n = draw(st.integers(1, 9))
+    k = draw(st.integers(1, 3))
+    targets = st.one_of(st.none(), st.integers(0, n - 1))
+    edges = [
+        (q, x, dst)
+        for q in range(n)
+        for x in range(k)
+        if (dst := draw(targets)) is not None
+    ]
+    accept = draw(st.frozensets(st.integers(0, n - 1)))
+    return Automaton(tuple("stu"[:k]), n, draw(st.integers(0, n - 1)), accept, tuple(edges))
+
+
+@st.composite
+def random_nfas(draw):
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 3))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, k - 1), st.integers(0, n - 1))))
+    accept = draw(st.frozensets(st.integers(0, n - 1)))
+    return Automaton(tuple("stu"[:k]), n, draw(st.integers(0, n - 1)), accept, tuple(edges))
+
+
+class TestMinimizeOracle:
+    @given(partial_dfas())
+    @settings(max_examples=300, deadline=None)
+    def test_partial_dfas_match_moore(self, a):
+        assert to_json(minimize(a)) == to_json(moore_minimize(a))
+
+    @given(random_nfas())
+    @settings(max_examples=200, deadline=None)
+    def test_determinized_nfas_match_moore(self, a):
+        d = determinize(a)
+        assert to_json(minimize(d)) == to_json(moore_minimize(d))
+
+
 class TestNormalizationInvariant:
     def test_min_det_enumeration_identity(self):
         rng = random.Random(99)

@@ -341,6 +341,28 @@ class TestInputTypes:
         assert json.loads(err)["error"]["type"] == "InputError"
 
     @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("states", 2.9),
+            ("states", True),
+            ("start", 0.0),
+            ("start", True),
+            ("accept", [0.5]),
+            ("accept", [False]),
+            ("transitions", [[0, "a", 1.5]]),
+            ("transitions", [[True, "a", 1]]),
+            ("states", "2"),
+        ],
+    )
+    def test_automaton_state_numbers_must_be_integers(self, capsys, tmp_path, field, value):
+        path = tmp_path / "a.json"
+        doc = {"alphabet": ["a"], "states": 2, "start": 0, "accept": [0], "transitions": [[0, "a", 1]]}
+        path.write_text(json.dumps({**doc, field: value}))
+        code, out, err = run(capsys, "automaton", "info", str(path))
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["type"] == "InputError"
+
+    @pytest.mark.parametrize(
         "generators,matrix,argv",
         [
             ([["s"], "t"], [[1, 3], [3, 1]], ["build"]),

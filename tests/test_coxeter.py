@@ -1,15 +1,26 @@
 """Coxeter-engine tests: minimal roots, automata, normal forms, the ball
 oracle, group weight functions, cells, and the Hecke view."""
 
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weightcell.automata import enumerate_words, equivalent, to_json
+from weightcell.automata import (
+    Automaton,
+    determinize,
+    enumerate_words,
+    equivalent,
+    minimize,
+    reverse,
+    to_json,
+)
 from weightcell.coxeter import (
     CoxeterSystem,
+    _subset_automaton,
     ball,
     bilinear_form,
     group_cell,
@@ -35,7 +46,8 @@ from weightcell.coxeter import (
     weight_classes,
 )
 from weightcell.cyclo import CycloReal
-from weightcell.errors import InputError, PreconditionError, UnboundedError
+from weightcell.errors import InputError, PreconditionError, ResourceLimitError, UnboundedError
+from weightcell.limits import Caps
 from weightcell.weights import WeightVector, strictly_negative_cell
 
 from conftest import (
@@ -109,6 +121,40 @@ def reduced_words_oracle(sys, radius):
 
     rec(identity(sys), ())
     return sorted(out, key=shortlex_key)
+
+
+def reversed_shortlex_reference(sys):
+    """The shortlex DFA by the earlier construction: a subset automaton of
+    the reversed language (reading s needs alpha_s outside the set, and no
+    smaller generator's root in the updated set), then reversed,
+    determinized and minimized."""
+    action = minimal_roots(sys).action
+    index = {frozenset(): 0}
+    queue, edges = [frozenset()], []
+    for subset in queue:
+        for s in range(sys.rank):
+            if s in subset:
+                continue
+            updated = frozenset({s} | {action[s][r] for r in subset if action[s][r] >= 0})
+            if any(t in updated for t in range(s)):
+                continue
+            if updated not in index:
+                index[updated] = len(index)
+                queue.append(updated)
+            edges.append((index[subset], s, index[updated]))
+    raw = Automaton(sys.generators, len(index), 0, frozenset(range(len(index))), tuple(edges))
+    return minimize(determinize(reverse(raw)))
+
+
+def _load_benchmark_systems():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "systems.py"
+    spec = importlib.util.spec_from_file_location("benchmark_systems", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return {name: CoxeterSystem(*data) for name, data in module.SYSTEMS.items()}
+
+
+BENCHMARK_SYSTEMS = _load_benchmark_systems()
 
 
 # -- systems ------------------------------------------------------------------
@@ -348,6 +394,25 @@ class TestAutomata:
         assert enumerate_words(shortlex_automaton(sys), radius) == lex_words
         assert enumerate_words(reduced_word_automaton(sys), radius) == reduced_words
         assert enumerate_words(language_automaton(sys, "reduced"), radius) == reduced_words
+        assert to_json(shortlex_automaton(sys)) == to_json(reversed_shortlex_reference(sys))
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARK_SYSTEMS))
+    def test_shortlex_matches_reversed_construction(self, name):
+        sys = BENCHMARK_SYSTEMS[name]
+        assert to_json(shortlex_automaton(sys)) == to_json(reversed_shortlex_reference(sys))
+
+    @pytest.mark.parametrize("name,states", [("H4", 5_643), ("F4t", 12_268), ("D5t", 45_134)])
+    def test_forward_shortlex_state_counts(self, name, states):
+        # the reversed construction's subset automata have 14,400, 28,561
+        # and 59,049 states
+        assert _subset_automaton(BENCHMARK_SYSTEMS[name], shortlex=True).n_states == states
+
+    def test_forward_shortlex_state_cap(self):
+        sys = BENCHMARK_SYSTEMS["D5t"]
+        assert shortlex_automaton(sys, Caps(states=46_000)).n_states == 141
+        with pytest.raises(ResourceLimitError) as exc:
+            shortlex_automaton(sys, Caps(states=45_000))
+        assert (exc.value.what, exc.value.cap) == ("automaton states", 45_000)
 
     def test_lex_language_prefix_closed(self, sys_246):
         a = shortlex_automaton(sys_246)
@@ -484,6 +549,40 @@ class TestGroupCell:
         monkeypatch.setattr(weights, "simple_cycles", counting)
         group_cell(sys_246, {"s": 1, "t": 2, "u": -5})
         assert len(calls) == 2
+
+    def test_x_and_y_are_computed_on_first_access(self, sys_246, monkeypatch):
+        import weightcell.coxeter as coxeter
+
+        calls = []
+        original = coxeter.natural_map
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(coxeter, "natural_map", counting)
+        result = group_cell(sys_246, {"s": 1, "t": 2, "u": -5})
+        assert not calls
+        X = result.X
+        assert len(calls) == len(result.circuit_words)
+        assert result.X is X and len(calls) == len(result.circuit_words)  # cached
+
+    @pytest.mark.parametrize(
+        "sys,phi",
+        [
+            (triangle_system(2, 4, 6), {"s": 1, "t": 2, "u": -5}),
+            (triangle_system(2, 3, 7), {"s": -1, "t": -1, "u": -1}),
+            (f4_system(), {"s1": 1, "s2": 1, "s3": -1, "s4": -1}),
+            (b_series_system(4), {"s1": -1, "s2": -1, "s3": -1, "s4": 2}),
+        ],
+        ids=["246", "237", "F4", "B4"],
+    )
+    def test_lex_words_count_elements(self, sys, phi):
+        # one shortlex word per element, and circuit words are factors of
+        # shortlex words: the CLI's X_size and Y_size count words
+        result = group_cell(sys, phi, "lex")
+        assert len(result.X) == len(result.circuit_words)
+        assert len(result.Y) == len(result.free_words)
 
     def test_238_zero_circuit_error_path(self):
         sys = triangle_system(2, 3, 8)
