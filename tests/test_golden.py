@@ -53,6 +53,8 @@ INPUTS = {
     "h4.json": lambda: _system(("s0", "s1", "s2", "s3"), {(0, 1): 5, (1, 2): 3, (2, 3): 3}),
     # affine B3: s0 and s1 both bonded 3 to s2, then a bond 4
     "b3t.json": lambda: _system(("s0", "s1", "s2", "s3"), {(0, 2): 3, (1, 2): 3, (2, 3): 4}),
+    # finite B3: the chain s0 -3- s1 -4- s2
+    "b3.json": lambda: _system(("s0", "s1", "s2"), {(0, 1): 3, (1, 2): 4}),
     # an NFA: the reversal of the (2,4,6) shortlex DFA
     "rev246.json": lambda: to_json(reverse(triangle_246_shortlex_automaton())),
 }
@@ -92,6 +94,16 @@ CASES = {
     "closed-form-f4-text": (["coxeter", "closed-form", "f4", "--phi", "a=1,b=-1"], []),
     "closed-form-f4-json": (
         ["coxeter", "closed-form", "f4", "--phi", "a=2,b=-1", "--format", "json"],
+        [],
+    ),
+    # the weight class {s0, s1} at 0: the cell is a coset of the parabolic W_{s0,s1}
+    "closed-form-nonneg-b3": (
+        ["coxeter", "closed-form", "nonneg", "--file", "b3.json", "--phi", "s0=0,s1=0,s2=1"],
+        [],
+    ),
+    # every witness's support is checked for a finite parabolic subgroup
+    "probe-spherical-246": (
+        ["coxeter", "probe-spherical", "t246.json", "--samples", "4", "--seed", "1", "--format", "json"],
         [],
     ),
 }
