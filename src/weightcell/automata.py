@@ -114,15 +114,6 @@ def _is_deterministic(a: Automaton) -> bool:
 
 
 @lru_cache(maxsize=4096)
-def _delta(a: Automaton) -> dict:
-    """(source, letter) -> tuple of targets, targets ascending."""
-    table: dict[tuple[int, int], list[int]] = {}
-    for src, letter, dst in a.transitions:
-        table.setdefault((src, letter), []).append(dst)
-    return {k: tuple(v) for k, v in table.items()}
-
-
-@lru_cache(maxsize=4096)
 def _out_edges(a: Automaton) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Per state, the outgoing (letter, target) pairs sorted by letter then target."""
     out: list[list[tuple[int, int]]] = [[] for _ in range(a.n_states)]
@@ -226,16 +217,15 @@ def explore(start, successors, stage: str, cap: int):
 
 def determinize(a: Automaton, caps: Caps = Caps()) -> Automaton:
     """Subset construction; canonical numbering by BFS discovery, letters ascending."""
-    delta = _delta(a)
-    letters = range(len(a.alphabet))
+    out = _out_edges(a)
 
     def successors(subset):
-        for letter in letters:
-            targets = set()
-            for q in subset:
-                targets.update(delta.get((q, letter), ()))
-            if targets:
-                yield letter, frozenset(targets)
+        targets: dict[int, set[int]] = {}
+        for q in subset:
+            for letter, dst in out[q]:
+                targets.setdefault(letter, set()).add(dst)
+        for letter in sorted(targets):
+            yield letter, frozenset(targets[letter])
 
     order, transitions = explore(
         frozenset([a.start]), successors, "determinization states", caps.states
@@ -358,17 +348,14 @@ def reverse(a: Automaton) -> Automaton:
 
 def accepts(a: Automaton, w: Word) -> bool:
     """Path-existence membership test; works for NFAs."""
-    delta = _delta(a)
+    out = _out_edges(a)
     current = {a.start}
     for letter in w:
         if not (0 <= letter < len(a.alphabet)):
             raise InputError("word letter out of alphabet range")
-        nxt = set()
-        for q in current:
-            nxt.update(delta.get((q, letter), ()))
-        if not nxt:
+        current = {dst for q in current for x, dst in out[q] if x == letter}
+        if not current:
             return False
-        current = nxt
     return bool(current & a.accept)
 
 
@@ -377,8 +364,7 @@ def enumerate_words(a: Automaton, maxlen: int, caps: Caps = Caps()) -> list[Word
     if maxlen < 0:
         raise InputError("maxlen must be >= 0")
     d = a if a.deterministic else determinize(a, caps)
-    delta = {k: v[0] for k, v in _delta(d).items()}
-    n_letters = len(d.alphabet)
+    out = _out_edges(d)
     words: list[Word] = []
     frontier: list[tuple[int, Word]] = [(d.start, ())]
     if d.start in d.accept:
@@ -386,10 +372,7 @@ def enumerate_words(a: Automaton, maxlen: int, caps: Caps = Caps()) -> list[Word
     for _ in range(maxlen):
         nxt: list[tuple[int, Word]] = []
         for state, word in frontier:
-            for letter in range(n_letters):
-                t = delta.get((state, letter))
-                if t is None:
-                    continue
+            for letter, t in out[state]:
                 w2 = word + (letter,)
                 nxt.append((t, w2))
                 if t in d.accept:
@@ -425,8 +408,9 @@ def counterexample(a: Automaton, b: Automaton, caps: Caps = Caps()) -> Word | No
     """
     b = _remap_to(b, a.alphabet)
     da, db = determinize(a, caps), determinize(b, caps)
-    ta = {k: v[0] for k, v in _delta(da).items()}
-    tb = {k: v[0] for k, v in _delta(db).items()}
+    # per state, letter -> target; the sink after the last state has no edges
+    ta = [dict(edges) for edges in _out_edges(da)] + [{}]
+    tb = [dict(edges) for edges in _out_edges(db)] + [{}]
     sink_a, sink_b = da.n_states, db.n_states
     start = (da.start, db.start)
     seen = {start}
@@ -434,13 +418,10 @@ def counterexample(a: Automaton, b: Automaton, caps: Caps = Caps()) -> Word | No
     n_letters = len(a.alphabet)
     while queue:
         (p, q), word = queue.popleft()
-        in_a = p != sink_a and p in da.accept
-        in_b = q != sink_b and q in db.accept
-        if in_a != in_b:
+        if (p in da.accept) != (q in db.accept):
             return word
         for letter in range(n_letters):
-            p2 = ta.get((p, letter), sink_a) if p != sink_a else sink_a
-            q2 = tb.get((q, letter), sink_b) if q != sink_b else sink_b
+            p2, q2 = ta[p].get(letter, sink_a), tb[q].get(letter, sink_b)
             if p2 == sink_a and q2 == sink_b:
                 continue
             key = (p2, q2)
@@ -480,7 +461,9 @@ def _json_int(value) -> int:
     return value
 
 
-def from_json(text: str) -> Automaton:
+def from_json(text: str, caps: Caps = Caps()) -> Automaton:
+    """Read an automaton document; more than `caps.states` states raise
+    ResourceLimitError before anything is built per state."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -490,6 +473,8 @@ def from_json(text: str) -> Automaton:
         if not all(isinstance(name, str) for name in alphabet):
             raise InputError("alphabet letters must be strings")
         n_states = _json_int(doc["states"])
+        if n_states > caps.states:
+            raise ResourceLimitError("automaton file states", caps.states)
         start = _json_int(doc["start"])
         accept = frozenset(_json_int(q) for q in doc["accept"])
         transitions = []

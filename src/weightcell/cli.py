@@ -127,8 +127,8 @@ def _read(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
-def _load_automaton(path: str) -> automata.Automaton:
-    return automata.from_json(_read(path))
+def _load_automaton(path: str, caps: Caps) -> automata.Automaton:
+    return automata.from_json(_read(path), caps)
 
 
 def _load_system(args) -> coxeter.CoxeterSystem:
@@ -156,7 +156,7 @@ def _dump(doc) -> str:
 
 def _cmd_automaton(args) -> int:
     caps = _caps(args)
-    a = _load_automaton(args.file)
+    a = _load_automaton(args.file, caps)
     if args.subcommand == "info":
         trimmed = automata.trim(a)
         doc = {
@@ -234,8 +234,9 @@ def _print_cone(doc, fmt, output):
 
 
 def _cmd_cone(args) -> int:
-    a = _load_automaton(args.file)
-    _print_cone(_cone_document(a, _caps(args))[0], args.format, None)
+    caps = _caps(args)
+    a = _load_automaton(args.file, caps)
+    _print_cone(_cone_document(a, caps)[0], args.format, None)
     return 0
 
 
@@ -282,7 +283,7 @@ def _print_cell(a, result, fmt, output, prefix: str, extra=()):
 
 def _cmd_bound(args) -> int:
     caps = _caps(args)
-    a = _load_automaton(args.file)
+    a = _load_automaton(args.file, caps)
     phi = weights.parse_weights(args.phi, a.alphabet)
     _print_bound(a, weights.bound(a, phi, caps), args.format, None)
     return 0
@@ -290,7 +291,7 @@ def _cmd_bound(args) -> int:
 
 def _cmd_cell(args) -> int:
     caps = _caps(args)
-    a = _load_automaton(args.file)
+    a = _load_automaton(args.file, caps)
     phi = weights.parse_weights(args.phi, a.alphabet)
     result = weights.cell_automaton(a, phi, caps)
     _print_cell(a, result, args.format, None, args.out_prefix or Path(args.file).stem)
@@ -375,7 +376,7 @@ def _cmd_closed_form(args, caps: Caps) -> int:
         result = bn_bound(args.n, params["a"], params["b"])
     elif family == "f4":
         need("a", "b")
-        result = f4_bound(params["a"], params["b"])
+        result = f4_bound(params["a"], params["b"], caps)
     elif family == "nonneg":
         if not args.file:
             raise InputError("closed-form nonneg needs --file with a Coxeter matrix")
@@ -449,7 +450,7 @@ def _cmd_probe(args, sys_, caps: Caps) -> int:
         witness_info = []
         for w in result.witnesses:
             support = tuple(sorted(set(w)))
-            finite = coxeter.is_positive_definite(sys_, support)
+            finite = coxeter.is_positive_definite(sys_, support, caps)
             witness_info.append(
                 {"word": list(a.word_names(w)), "finite_parabolic_support": finite}
             )

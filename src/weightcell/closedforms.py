@@ -79,11 +79,11 @@ def spherical_nonneg(
     of the longest element and the cell is its coset by the zero-weight
     parabolic subgroup."""
     phi = _group_weight(sys, assignment)
-    if not is_positive_definite(sys):
+    if not is_positive_definite(sys, None, caps):
         raise InputError("the Coxeter system is infinite")
     if any(v < 0 for v in phi.values):
         raise InputError("a negative weight is present; use the generic machinery")
-    w0 = longest_element(sys)
+    w0 = longest_element(sys, caps)
     w0_word = lex_word(sys, w0)
     zero_letters = tuple(i for i, v in enumerate(phi.values) if v == 0)
     parabolic = parabolic_elements(sys, zero_letters, caps).values() if zero_letters else [()]
@@ -258,25 +258,25 @@ _F4_CORE_WORDS = (
 )
 
 
-def _f4_candidates() -> list[Word]:
+def _f4_candidates(caps: Caps = Caps()) -> list[Word]:
     flip = {0: 3, 1: 2, 2: 1, 3: 0}
     words = [tuple(int(ch) - 1 for ch in text) for text in _F4_CORE_WORDS]
     words += [tuple(flip[i] for i in w) for w in words]
     sys = _f4_system()
     words.append(())
-    words.append(lex_word(sys, longest_element(sys)))
+    words.append(lex_word(sys, longest_element(sys, caps)))
     return words
 
 
 @lru_cache(maxsize=1)
-def _f4_normal_forms() -> tuple[Word, ...]:
+def _f4_normal_forms(caps: Caps = Caps()) -> tuple[Word, ...]:
     """Shortlex normal forms of the candidate words; they do not depend on
     the weights."""
     sys = _f4_system()
-    return tuple(lex_word(sys, natural_map(sys, w)) for w in _f4_candidates())
+    return tuple(lex_word(sys, natural_map(sys, w)) for w in _f4_candidates(caps))
 
 
-def f4_bound(a, b) -> SphericalFormulaResult:
+def f4_bound(a, b, caps: Caps = Caps()) -> SphericalFormulaResult:
     """Bound (always) and cell (for a, b nonzero) in F4, with weight a on
     the two long-node generators s1, s2 and b on s3, s4."""
     a, b = Fraction(a), Fraction(b)
@@ -297,7 +297,7 @@ def f4_bound(a, b) -> SphericalFormulaResult:
     if a == 0 or b == 0:
         return SphericalFormulaResult(sys.generators, value, None)
     phi = WeightVector(sys.generators, (a, a, b, b))
-    cell = [w for w in _f4_normal_forms() if weight_of_word(phi, w) == value]
+    cell = [w for w in _f4_normal_forms(caps) if weight_of_word(phi, w) == value]
     return SphericalFormulaResult(sys.generators, value, _sorted_words(cell))
 
 

@@ -723,29 +723,38 @@ def hecke_onedim(sys: CoxeterSystem, psi, signs, caps: Caps = Caps()) -> HeckeOn
 
 
 @lru_cache(maxsize=None)
-def is_positive_definite(sys: CoxeterSystem, subset: tuple[int, ...] | None = None) -> bool:
-    """Sylvester test on the (sub-)Gram matrix: finite iff positive definite."""
-    indices = tuple(range(sys.rank)) if subset is None else tuple(subset)
-    B = bilinear_form(sys)
-    M = field_modulus(sys)
-    n = len(indices)
-    mat = [[B[indices[i]][indices[j]] for j in range(n)] for i in range(n)]
-    for k in range(n):
-        pivot = mat[k][k]
-        if pivot.sign() <= 0:
-            return False
-        for i in range(k + 1, n):
-            factor = mat[i][k] / pivot
-            if factor.is_zero():
-                continue
-            for j in range(k, n):
-                mat[i][j] = mat[i][j] - factor * mat[k][j]
-    return True
+def is_positive_definite(
+    sys: CoxeterSystem, subset: tuple[int, ...] | None = None, caps: Caps = Caps()
+) -> bool:
+    """Whether W, or the standard parabolic W_J on the generator indices
+    `subset`, is finite (its bilinear form is then positive definite).
+
+    Read off the minimal roots (Brink-Howlett 1993): W is finite iff no
+    generator sends a minimal root to a non-minimal one.  In a finite group
+    |B(alpha_s, g)| < 1 for every positive root g != alpha_s, so that never
+    happens.  In an infinite group there are finitely many minimal roots but
+    infinitely many roots; if no image left them, the minimal roots and
+    their negatives would be closed under W and hold every root.  The empty
+    subset gives the trivial group.
+    """
+    if subset is not None:
+        indices = tuple(subset)
+        if len(set(indices)) != len(indices) or not all(
+            isinstance(i, int) and 0 <= i < sys.rank for i in indices
+        ):
+            raise InputError(f"bad parabolic subset {indices!r}")
+        if not indices:
+            return True
+        sys = CoxeterSystem(
+            tuple(sys.generators[i] for i in indices),
+            tuple(tuple(sys.matrix[i][j] for j in indices) for i in indices),
+        )
+    return not any(ACTION_NONMINIMAL in row for row in minimal_roots(sys, caps).action)
 
 
-def longest_element(sys: CoxeterSystem) -> GroupElement:
+def longest_element(sys: CoxeterSystem, caps: Caps = Caps()) -> GroupElement:
     """The unique maximal-length element of a finite system, by greedy ascent."""
-    if not is_positive_definite(sys):
+    if not is_positive_definite(sys, None, caps):
         raise InputError("the system is infinite; no longest element exists")
     g = identity(sys)
     while True:
@@ -766,6 +775,6 @@ def parabolic_elements(
     letters of J, so the ball over J reaches each element first by its
     normal form."""
     indices = tuple(sorted(subset))
-    if not is_positive_definite(sys, indices):
+    if not is_positive_definite(sys, indices, caps):
         raise InputError("the parabolic subgroup is infinite")
     return dict(_ball_entries(sys, caps.elements, caps, indices))

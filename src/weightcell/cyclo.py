@@ -10,12 +10,13 @@ enclosure of x comes from integer Newton steps at dyadic points, checked by
 an exact sign change of the minimal polynomial, so the module needs nothing
 beyond the standard library.
 
-`CycloReal` is the public field type, with rational coefficients.  Group
-matrices and roots of Coxeter systems lie in the ring Z[2cos(pi/M)] (the
-minimal polynomial is monic), so the group layer stores them as plain
-tuples of ints and uses the integer kernel here: `int_multiplier` and
-`int_mul_sub` for products, `int_sign` for signs.  `CycloReal.sign` clears
-denominators and calls the same `int_sign`.
+`CycloReal` is the public field type, with rational coefficients and the
+ring operations only (no division).  Group matrices and roots of Coxeter
+systems lie in the ring Z[2cos(pi/M)] (the minimal polynomial is monic), so
+the group layer stores them as plain tuples of ints and uses the integer
+kernel here: `int_multiplier` and `int_mul_sub` for products, `int_sign`
+for signs.  `CycloReal.sign` clears denominators and calls the same
+`int_sign`.
 """
 
 from __future__ import annotations
@@ -186,7 +187,7 @@ class CycloReal:
     """An element of Q(2cos(pi/M)), as a power-basis coefficient vector.
 
     Immutable and hashable; arithmetic is exact.  Mixed arithmetic with int
-    and Fraction scalars is supported.
+    and Fraction scalars is supported; there is no division.
     """
 
     modulus: int
@@ -279,26 +280,9 @@ class CycloReal:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            if f == 0:
-                raise ZeroDivisionError("division by zero")
-            return self * (1 / f)
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
     def __pow__(self, n: int):
         if n < 0:
-            return self.inverse() ** (-n)
+            raise InputError("CycloReal has no division, so no negative powers")
         result = CycloReal.from_rational(self.modulus, 1)
         base = self
         while n:
@@ -307,27 +291,6 @@ class CycloReal:
             base = base * base
             n >>= 1
         return result
-
-    def inverse(self) -> "CycloReal":
-        """Multiplicative inverse via the extended euclidean algorithm in Q[x]."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        if self.is_rational():
-            return CycloReal.from_rational(self.modulus, 1 / self.coeffs[0])
-        minpoly = [Fraction(c) for c in minimal_polynomial_of_2cos(self.modulus)]
-        r0, r1 = minpoly, list(self.coeffs)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while True:
-            while r1 and not r1[-1]:
-                r1.pop()
-            if len(r1) == 1:
-                inv = 1 / r1[0]
-                return CycloReal(
-                    self.modulus, _reduce(self.modulus, [c * inv for c in s1])
-                )
-            q, rem = _q_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _q_sub(s0, _q_mul(q, s1))
 
     # -- sign and ordering ---------------------------------------------------
 
@@ -338,25 +301,6 @@ class CycloReal:
         return f"CycloReal(M={self.modulus}, {list(self.coeffs)})"
 
 
-def _q_divmod(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    db = len(b) - 1
-    while b and not b[-1]:
-        b = b[:-1]
-        db -= 1
-    q = [Fraction(0)] * max(len(a) - db, 1)
-    inv = 1 / b[-1]
-    for k in range(len(a) - 1, db - 1, -1):
-        f = a[k] * inv
-        if f:
-            q[k - db] = f
-            for j in range(db + 1):
-                a[k - db + j] -= f * b[j]
-    while a and not a[-1]:
-        a.pop()
-    return q, (a or [Fraction(0)])
-
-
 def _q_mul(a, b):
     out = [Fraction(0)] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -364,13 +308,6 @@ def _q_mul(a, b):
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return out
-
-
-def _q_sub(a, b):
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
 
 
 def embed_2cos(m: int, M: int) -> CycloReal:

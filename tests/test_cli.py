@@ -107,6 +107,27 @@ class TestAutomatonCommands:
         assert code == 2
         assert json.loads(err)["error"]["code"] == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["automaton", "info"], ["cone"], ["bound", "--phi", "a=1"]],
+        ids=["info", "cone", "bound"],
+    )
+    def test_huge_state_count_exit_3(self, capsys, tmp_path, argv):
+        # read before anything is built per state: no MemoryError, no kill
+        path = tmp_path / "huge.json"
+        doc = {"alphabet": ["a"], "states": 10**12, "start": 0, "accept": [0], "transitions": []}
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, argv[0], *argv[1:], str(path))
+        assert (code, out) == (3, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "ResourceLimitError"
+        assert (error["stage"], error["cap"]) == ("automaton file states", 1_000_000)
+
+    def test_state_count_obeys_max_states(self, capsys, fig246_file):
+        code, out, err = run(capsys, "automaton", "info", fig246_file, "--max-states", "3")
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"]["cap"] == 3
+
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run(capsys, "automaton", "info", "/nonexistent.json")
         assert code == 2 and json.loads(err)["error"]["type"] == "InputError"

@@ -2,6 +2,7 @@
 oracle, group weight functions, cells, and the Hecke view."""
 
 import importlib.util
+import itertools
 from fractions import Fraction
 from pathlib import Path
 
@@ -327,6 +328,32 @@ class TestFiniteness:
         assert is_positive_definite(sys_246, (0, 1))  # finite dihedral inside
         with pytest.raises(InputError):
             longest_element(sys_246)
+
+    def test_rank_three_against_the_angle_sum(self):
+        # a triangle group is finite iff 1/p + 1/q + 1/r > 1, with 1/inf = 0
+        labels = (2, 3, 4, 5, 6, 0)
+        for p, q, r in itertools.product(labels, repeat=3):
+            angle_sum = sum(Fraction(1, m) for m in (p, q, r) if m)
+            assert is_positive_definite(triangle_system(p, q, r)) == (angle_sum > 1), (p, q, r)
+
+    def test_rank_two(self):
+        for m in (0, *range(2, 25)):
+            assert is_positive_definite(dihedral_system(m)) == (m != 0), m
+
+    def test_benchmark_systems(self):
+        finite = {"H4", "F4", "B4", "B5", "I2_6", "I2_8", "I2_10", "I2_12"}
+        for name, sys in BENCHMARK_SYSTEMS.items():
+            assert is_positive_definite(sys) == (name in finite), name
+
+    def test_every_subset_of_246(self, sys_246):
+        for size in range(4):
+            for subset in itertools.permutations(range(3), size):
+                assert is_positive_definite(sys_246, subset) == (size < 3), subset
+
+    @pytest.mark.parametrize("subset", [(0, 0), (3,), (-1,), (0, 1, 1)])
+    def test_bad_subset_raises(self, sys_246, subset):
+        with pytest.raises(InputError):
+            is_positive_definite(sys_246, subset)
 
     def test_parabolic_elements(self, sys_246):
         assert len(parabolic_elements(sys_246, (0, 1))) == 8  # I2(4)

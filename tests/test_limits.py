@@ -13,7 +13,7 @@ from weightcell.errors import InputError, ResourceLimitError
 from weightcell.limits import Caps
 from weightcell.weights import WeightVector
 
-from conftest import b_series_system, triangle_333_shortlex_automaton
+from conftest import b_series_system, f4_system, triangle_333_shortlex_automaton
 
 
 def test_defaults():
@@ -156,3 +156,17 @@ def test_spherical_nonneg_obeys_caps():
     with pytest.raises(ResourceLimitError) as info:
         closedforms.spherical_nonneg(sys, phi, Caps(elements=1))
     assert (info.value.what, info.value.cap) == ("group elements", 1)
+
+
+def test_finiteness_checks_obey_caps():
+    # F4 has 24 minimal roots (all its positive roots)
+    tight = Caps(roots=5)
+    calls = [
+        lambda: coxeter.is_positive_definite(f4_system(), None, tight),
+        lambda: coxeter.longest_element(f4_system(), tight),
+        lambda: closedforms.f4_bound(1, -1, tight),
+        lambda: closedforms.spherical_nonneg(b_series_system(3), {"s1": 0, "s2": 0, "s3": 1}, tight),
+    ]
+    for call in calls:
+        with pytest.raises(ResourceLimitError):
+            call()
