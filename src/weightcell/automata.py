@@ -14,9 +14,11 @@ surviving states.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 from .errors import InputError, ResourceLimitError
 from .limits import Caps
@@ -277,46 +279,50 @@ class _Partition:
 
 
 def minimize(a: Automaton) -> Automaton:
-    """Minimal DFA of the same language, canonically numbered.
-
-    Partial DFAs are supported (a missing transition is an implicit reject
-    sink).  Rejects non-deterministic input.  Hopcroft's refinement (1971)
-    in Valmari and Lehtinen's form for partial DFAs (2008), O(m log n) for m
-    transitions: each new block of states splits the transitions into it."""
+    """Minimal DFA of the same language, canonically numbered.  Partial DFAs
+    are supported (a missing transition is an implicit reject sink); rejects
+    non-deterministic input."""
     if not a.deterministic:
         raise InputError("minimize requires a deterministic automaton")
     a = trim(a)
     if not a.accept:
         return empty_language_automaton(a.alphabet)
-    incoming, by_letter = [[] for _ in range(a.n_states)], [[] for _ in a.alphabet]
-    for t, (_, letter, dst) in enumerate(a.transitions):
+    return _minimal(a.alphabet, a.n_states, a.start, a.accept, a.transitions)
+
+
+def _minimal(alphabet, n: int, start: int, accept, transitions) -> Automaton:
+    """Minimal DFA of a trim DFA on range(n), its triples in (source, letter)
+    order: Hopcroft (1971) in Valmari and Lehtinen's form for partial DFAs
+    (2008), O(m log n) for m transitions; each new block splits those into it."""
+    incoming, by_letter = [[] for _ in range(n)], [[] for _ in alphabet]
+    for t, (_, letter, dst) in enumerate(transitions):
         incoming[dst].append(t)
         by_letter[letter].append(t)
-    sources = [src for src, _, _ in a.transitions]
-    blocks, cords = _Partition(a.n_states), _Partition(len(a.transitions))
-    blocks.refine(a.accept)
+    sources = [src for src, _, _ in transitions]
+    blocks, cords = _Partition(n), _Partition(len(transitions))
+    blocks.refine(accept)
     for group in by_letter:
         cords.refine(group)
     b, c = 1, 0  # block 0 never splits the transitions: Hopcroft's "all but one"
     while c < len(cords.first):
-        blocks.refine([sources[t] for t in cords.members(c)])
+        blocks.refine(map(sources.__getitem__, cords.members(c)))
         c += 1
         while b < len(blocks.first):
-            cords.refine([t for q in blocks.members(b) for t in incoming[q]])
+            cords.refine(chain.from_iterable(map(incoming.__getitem__, blocks.members(b))))
             b += 1
-    # Canonical numbering over the quotient.  The partition is stable, so
-    # any state of a block represents its successors.
+    # Canonical numbering over the stable partition: any state of a block
+    # represents it, and the out-edges of q are the triples with source q.
     block = blocks.set_of
-    reps = {block[q]: q for q in range(a.n_states)}
-    out = _out_edges(a)
+    reps = {block[q]: q for q in range(n)}
 
     def successors(b):
-        for letter, dst in out[reps[b]]:
+        q = reps[b]
+        for _, letter, dst in transitions[bisect_left(sources, q) : bisect_left(sources, q + 1)]:
             yield letter, block[dst]
 
-    order, transitions = explore(block[a.start], successors, "minimized states", a.n_states)
-    accept = frozenset(i for i, b in enumerate(order) if reps[b] in a.accept)
-    return Automaton(a.alphabet, len(order), 0, accept, tuple(transitions))
+    order, edges = explore(block[start], successors, "minimized states", n)
+    final = frozenset(i for i, b in enumerate(order) if reps[b] in accept)
+    return Automaton(alphabet, len(order), 0, final, tuple(edges))
 
 
 def reverse(a: Automaton) -> Automaton:

@@ -10,7 +10,8 @@ signs, and the shortlex normal form is the greedy strip of the least left
 descent.
 
 Both language automata read words forward over sets of minimal roots, one
-int bitmask per state (Brink-Howlett 1993); the shortlex one is minimized.
+int bitmask per state (Brink-Howlett 1993), fed straight to the Hopcroft core
+of `automata`; a finite group's reduced-word automaton is already minimal.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
 
-from .automata import Automaton, Word, explore, minimize
+from .automata import Automaton, Word, _minimal, explore
 from .cyclo import (
     CycloReal,
     embed_2cos,
@@ -442,9 +443,10 @@ def minimal_roots(sys: CoxeterSystem, caps: Caps = Caps()) -> MinimalRootTable:
 # ---------------------------------------------------------------------------
 
 
-def _subset_automaton(sys: CoxeterSystem, shortlex: bool, caps: Caps = Caps()) -> Automaton:
+def _subset_automaton(sys: CoxeterSystem, shortlex: bool, caps: Caps = Caps()) -> tuple:
     """Forward BFS over sets D of minimal roots, each an int bitmask (bit r
-    is root r of `minimal_roots`).  All states accept.
+    is root r of `minimal_roots`), returned as the state count and the
+    (source, letter, target) triples of `explore`.  All states accept.
 
     Reading s needs alpha_s outside D (the word stays reduced) and leads to
     {alpha_s} | s(D) | extra_s, minimal roots only (Brink-Howlett 1993).
@@ -479,21 +481,23 @@ def _subset_automaton(sys: CoxeterSystem, shortlex: bool, caps: Caps = Caps()) -
             yield s, image
 
     order, transitions = explore(0, successors, "automaton states", caps.states)
-    n = len(order)
-    return Automaton(sys.generators, n, 0, frozenset(range(n)), tuple(transitions))
+    return len(order), transitions
 
 
 @lru_cache(maxsize=64)
 def reduced_word_automaton(sys: CoxeterSystem, caps: Caps = Caps()) -> Automaton:
     """DFA recognising the language of all reduced words (all states accept)."""
-    return _subset_automaton(sys, shortlex=False, caps=caps)
+    n, transitions = _subset_automaton(sys, shortlex=False, caps=caps)
+    return Automaton(sys.generators, n, 0, frozenset(range(n)), tuple(transitions))
 
 
 @lru_cache(maxsize=64)
 def shortlex_automaton(sys: CoxeterSystem, caps: Caps = Caps()) -> Automaton:
     """Minimal DFA of the shortlex normal forms (generator order as declared):
-    the forward minimal-root automaton in shortlex mode, minimized."""
-    return minimize(_subset_automaton(sys, shortlex=True, caps=caps))
+    the forward minimal-root automaton in shortlex mode, fed straight to the
+    Hopcroft core (it is a trim DFA) without building the raw automaton."""
+    n, transitions = _subset_automaton(sys, shortlex=True, caps=caps)
+    return _minimal(sys.generators, n, 0, range(n), transitions)
 
 
 # ---------------------------------------------------------------------------
@@ -619,11 +623,16 @@ class GroupCellResult:
         return frozenset(natural_map(self.system, w) for w in self.free_words)
 
 
+@lru_cache(maxsize=64)
 def language_automaton(sys: CoxeterSystem, language: str, caps: Caps = Caps()) -> Automaton:
+    """The minimal DFA of the shortlex ("lex") or reduced-word language."""
     if language == "lex":
         return shortlex_automaton(sys, caps)
     if language == "reduced":
-        return minimize(reduced_word_automaton(sys, caps))
+        if is_positive_definite(sys, None, caps):  # finite: no two states merge
+            return reduced_word_automaton(sys, caps)
+        n, transitions = _subset_automaton(sys, shortlex=False, caps=caps)
+        return _minimal(sys.generators, n, 0, range(n), transitions)
     raise InputError(f"unknown language {language!r} (expected 'lex' or 'reduced')")
 
 

@@ -432,7 +432,8 @@ class TestAutomata:
     def test_forward_shortlex_state_counts(self, name, states):
         # the reversed construction's subset automata have 14,400, 28,561
         # and 59,049 states
-        assert _subset_automaton(BENCHMARK_SYSTEMS[name], shortlex=True).n_states == states
+        n_states, _ = _subset_automaton(BENCHMARK_SYSTEMS[name], shortlex=True)
+        assert n_states == states
 
     def test_forward_shortlex_state_cap(self):
         sys = BENCHMARK_SYSTEMS["D5t"]
@@ -440,6 +441,32 @@ class TestAutomata:
         with pytest.raises(ResourceLimitError) as exc:
             shortlex_automaton(sys, Caps(states=45_000))
         assert (exc.value.what, exc.value.cap) == ("automaton states", 45_000)
+
+    @pytest.mark.parametrize("language", ["lex", "reduced"])
+    @pytest.mark.parametrize("name", sorted(BENCHMARK_SYSTEMS))
+    def test_direct_build_matches_minimize(self, name, language):
+        # the builders feed explore's triples straight to the Hopcroft core
+        sys = BENCHMARK_SYSTEMS[name]
+        n, transitions = _subset_automaton(sys, shortlex=language == "lex")
+        raw = Automaton(sys.generators, n, 0, frozenset(range(n)), tuple(transitions))
+        assert to_json(language_automaton(sys, language)) == to_json(minimize(raw))
+
+    @pytest.mark.parametrize("name", ["H4", "F4", "B4", "B5", "I2_12"])
+    def test_finite_reduced_automaton_is_minimal(self, name):
+        # one state per element, and distinct elements have distinct cone types
+        sys = BENCHMARK_SYSTEMS[name]
+        raw = reduced_word_automaton(sys, Caps())
+        assert to_json(minimize(raw)) == to_json(raw)
+        assert language_automaton(sys, "reduced") is raw  # minimize skipped
+
+    def test_finite_reduced_state_cap(self):
+        with pytest.raises(ResourceLimitError) as exc:
+            language_automaton(BENCHMARK_SYSTEMS["H4"], "reduced", Caps(states=14_399))
+        assert (exc.value.what, exc.value.cap) == ("automaton states", 14_399)
+
+    def test_reduced_minimal_dfa_cached(self):
+        sys = BENCHMARK_SYSTEMS["C4t"]
+        assert language_automaton(sys, "reduced") is language_automaton(sys, "reduced")
 
     def test_lex_language_prefix_closed(self, sys_246):
         a = shortlex_automaton(sys_246)
