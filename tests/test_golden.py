@@ -106,6 +106,46 @@ CASES = {
         ["coxeter", "probe-spherical", "t246.json", "--samples", "4", "--seed", "1", "--format", "json"],
         [],
     ),
+    "probe-spherical-246-text": (
+        ["coxeter", "probe-spherical", "t246.json", "--samples", "3", "--seed", "2", "--format", "text"],
+        [],
+    ),
+    "automaton-info-fig246-text": (["automaton", "info", "fig246.json"], []),
+    "automaton-info-rev246-json": (["automaton", "info", "rev246.json", "--format", "json"], []),
+    "automaton-enum-fig246-text": (["automaton", "enum", "fig246.json", "--maxlen", "3"], []),
+    "automaton-enum-fig246-json": (
+        ["automaton", "enum", "fig246.json", "--maxlen", "2", "--format", "json"],
+        [],
+    ),
+    "bound-fig246-text": (["bound", "fig246.json", "--phi", "s=1,t=2,u=-5"], []),
+    "bound-fig246-json": (["bound", "fig246.json", "--phi", "s=1,t=2,u=-5", "--format", "json"], []),
+    # no --out-prefix: the files are named after the input file
+    "cell-fig246-json": (
+        ["cell", "fig246.json", "--phi", "s=1,t=2,u=-5", "--format", "json"],
+        ["fig246-cell-raw.json", "fig246-cell-dfa.json", "fig246-cell-dfa.dot"],
+    ),
+    "cell-fig246-text": (
+        ["cell", "fig246.json", "--phi", "s=1,t=2,u=-5", "--out-prefix", "c246"],
+        ["c246-cell-raw.json", "c246-cell-dfa.json", "c246-cell-dfa.dot"],
+    ),
+    # b < 0 < a, the mirror of the a < 0 < b branch: a + b > 0, then a + b = 0
+    "closed-form-dihedral-text": (["coxeter", "closed-form", "dihedral", "--m", "3", "--phi", "a=2,b=-1"], []),
+    "closed-form-dihedral-json": (
+        ["coxeter", "closed-form", "dihedral", "--m", "3", "--phi", "a=1,b=-1", "--format", "json"],
+        [],
+    ),
+    "closed-form-b-text": (["coxeter", "closed-form", "b", "--n", "3", "--phi", "a=1,b=-1"], []),
+    # a zero parameter leaves the cell to the generic machinery
+    "closed-form-b-deferred-text": (["coxeter", "closed-form", "b", "--n", "3", "--phi", "a=0,b=1"], []),
+    "closed-form-b-deferred-json": (
+        ["coxeter", "closed-form", "b", "--n", "3", "--phi", "a=0,b=1", "--format", "json"],
+        [],
+    ),
+    "closed-form-ct-text": (["coxeter", "closed-form", "ct", "--n", "3", "--phi", "a=1,b=-1,c=2"], []),
+    "closed-form-ct-json": (
+        ["coxeter", "closed-form", "ct", "--n", "3", "--phi", "a=1,b=-1,c=2", "--format", "json"],
+        [],
+    ),
 }
 
 
