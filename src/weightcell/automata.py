@@ -2,8 +2,8 @@
 
 An automaton is a labelled directed multigraph with a start state and a set
 of accept states.  Non-deterministic automata share the type with DFAs (the
-`deterministic` flag is computed from the transitions), because the
-cell-automaton construction in the weight engine naturally emits NFAs.
+`deterministic` flag is computed from the transitions), because automaton
+files may describe NFAs and `reverse` emits them.
 
 Determinize and minimize renumber states canonically (breadth-first
 discovery order, letters ascending), so building the same automaton twice

@@ -127,10 +127,6 @@ def _read(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
-def _load_automaton(path: str, caps: Caps) -> automata.Automaton:
-    return automata.from_json(_read(path), caps)
-
-
 def _load_system(args) -> coxeter.CoxeterSystem:
     sys_ = coxeter.system_from_json(_read(args.file))
     if getattr(args, "order", None):
@@ -149,6 +145,12 @@ def _dump(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _report(doc, text: str, fmt: str, output: str | None) -> int:
+    """Write `doc` as JSON for the json format, else `text`; exit code 0."""
+    _emit(_dump(doc) if fmt == "json" else text, output)
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # automaton subcommands
 # ---------------------------------------------------------------------------
@@ -156,7 +158,7 @@ def _dump(doc) -> str:
 
 def _cmd_automaton(args) -> int:
     caps = _caps(args)
-    a = _load_automaton(args.file, caps)
+    a = automata.from_json(_read(args.file), caps)
     if args.subcommand == "info":
         trimmed = automata.trim(a)
         doc = {
@@ -168,27 +170,18 @@ def _cmd_automaton(args) -> int:
             "useful_states": trimmed.n_states if trimmed.accept else 0,
             "language_empty": not trimmed.accept,
         }
-        if args.format == "json":
-            _emit(_dump(doc), args.output)
-        else:
-            lines = [f"{key}: {value}" for key, value in doc.items()]
-            _emit("\n".join(lines) + "\n", args.output)
-        return 0
+        text = "".join(f"{key}: {value}\n" for key, value in doc.items())
+        return _report(doc, text, args.format, args.output)
+    if args.subcommand == "enum":
+        words = automata.enumerate_words(a, args.maxlen, caps)
+        text = "".join(a.format_word(w) + "\n" for w in words)
+        return _report([list(a.word_names(w)) for w in words], text, args.format, args.output)
     if args.subcommand == "min":
         result = automata.minimize(automata.determinize(a, caps))
-    elif args.subcommand == "reverse":
+    else:  # reverse
         result = automata.reverse(a)
-    else:  # enum
-        words = automata.enumerate_words(a, args.maxlen, caps)
-        if args.format == "json":
-            _emit(_dump([list(a.word_names(w)) for w in words]), args.output)
-        else:
-            _emit("".join(a.format_word(w) + "\n" for w in words), args.output)
-        return 0
-    if args.format == "dot":
-        _emit(automata.to_dot(result), args.output)
-    else:
-        _emit(automata.to_json(result), args.output)
+    text = automata.to_dot(result) if args.format == "dot" else automata.to_json(result)
+    _emit(text, args.output)
     return 0
 
 
@@ -219,83 +212,58 @@ def _class_cone(sys_: coxeter.CoxeterSystem, raw: cones.HRep, caps: Caps):
     return classes, projected, *cones.describe(projected, caps)
 
 
-def _print_cone(doc, fmt, output):
-    if fmt == "json":
-        _emit(_dump(doc), output)
-        return
-    lines = [
-        f"dimension: {doc['dim']} (letters {', '.join(doc['alphabet'])})",
-        f"raw inequalities: {doc['raw_normals']}",
-        f"irredundant inequalities: {doc['normals']}",
-        f"lineality basis: {doc['lineality']}",
-        f"extreme rays: {doc['rays']}",
-    ]
-    _emit("\n".join(lines) + "\n", output)
+def _cone_text(doc) -> str:
+    return (
+        f"dimension: {doc['dim']} (letters {', '.join(doc['alphabet'])})\n"
+        f"raw inequalities: {doc['raw_normals']}\n"
+        f"irredundant inequalities: {doc['normals']}\n"
+        f"lineality basis: {doc['lineality']}\n"
+        f"extreme rays: {doc['rays']}\n"
+    )
 
 
 def _cmd_cone(args) -> int:
     caps = _caps(args)
-    a = _load_automaton(args.file, caps)
-    _print_cone(_cone_document(a, caps)[0], args.format, None)
-    return 0
+    doc = _cone_document(automata.from_json(_read(args.file), caps), caps)[0]
+    return _report(doc, _cone_text(doc), args.format, None)
 
 
-def _witness_text(a: automata.Automaton, witnesses) -> str:
-    return ", ".join(a.format_word(w) or "(empty)" for w in witnesses)
-
-
-def _print_bound(a, result, fmt, output, extra=()):
-    """Bound and witnesses of `result`, words spelled in `a`'s alphabet;
-    `extra` items follow them in the JSON document."""
+def _report_cell(a, result, args, extra=()) -> int:
+    """Report the bound and witnesses of `result`, words spelled in `a`'s
+    alphabet.  For `cell`, first write the cell automata and name their
+    files.  `extra` items end the JSON document."""
+    witnesses = ", ".join(a.format_word(w) or "(empty)" for w in result.witnesses)
     doc = {
         "bound": str(result.bound),
         "witnesses": [list(a.word_names(w)) for w in result.witnesses],
-        **dict(extra),
     }
-    if fmt == "json":
-        _emit(_dump(doc), output)
-    else:
-        _emit(f"bound: {result.bound}\nwitnesses: {_witness_text(a, result.witnesses)}\n", output)
-
-
-def _print_cell(a, result, fmt, output, prefix: str, extra=()):
-    """Write the cell automata under `prefix` and report them like
-    `_print_bound`, with the file names."""
-    names = {
-        "cell_raw": f"{prefix}-cell-raw.json",
-        "cell_dfa": f"{prefix}-cell-dfa.json",
-        "cell_dfa_dot": f"{prefix}-cell-dfa.dot",
-    }
-    Path(names["cell_raw"]).write_text(automata.to_json(result.cell_nfa))
-    Path(names["cell_dfa"]).write_text(automata.to_json(result.cell_dfa))
-    Path(names["cell_dfa_dot"]).write_text(automata.to_dot(result.cell_dfa))
-    if fmt == "json":
-        _print_bound(a, result, fmt, output, [*names.items(), *extra])
-    else:
-        _emit(
-            f"bound: {result.bound}\n"
-            f"witnesses: {_witness_text(a, result.witnesses)}\n"
+    text = f"bound: {result.bound}\nwitnesses: {witnesses}\n"
+    if getattr(args, "subcommand", args.command) == "cell":
+        prefix = args.out_prefix or Path(args.file).stem
+        names = {
+            "cell_raw": f"{prefix}-cell-raw.json",
+            "cell_dfa": f"{prefix}-cell-dfa.json",
+            "cell_dfa_dot": f"{prefix}-cell-dfa.dot",
+        }
+        Path(names["cell_raw"]).write_text(automata.to_json(result.cell_nfa))
+        Path(names["cell_dfa"]).write_text(automata.to_json(result.cell_dfa))
+        Path(names["cell_dfa_dot"]).write_text(automata.to_dot(result.cell_dfa))
+        doc.update(names)
+        text += (
             f"cell automaton states: {result.cell_dfa.n_states}\n"
-            f"files: {', '.join(names.values())}\n",
-            output,
+            f"files: {', '.join(names.values())}\n"
         )
+    doc.update(extra)
+    return _report(doc, text, args.format, getattr(args, "output", None))
 
 
-def _cmd_bound(args) -> int:
+def _cmd_weight(args) -> int:
+    """`bound` and `cell` of a weight function on an automaton file."""
     caps = _caps(args)
-    a = _load_automaton(args.file, caps)
+    a = automata.from_json(_read(args.file), caps)
     phi = weights.parse_weights(args.phi, a.alphabet)
-    _print_bound(a, weights.bound(a, phi, caps), args.format, None)
-    return 0
-
-
-def _cmd_cell(args) -> int:
-    caps = _caps(args)
-    a = _load_automaton(args.file, caps)
-    phi = weights.parse_weights(args.phi, a.alphabet)
-    result = weights.cell_automaton(a, phi, caps)
-    _print_cell(a, result, args.format, None, args.out_prefix or Path(args.file).stem)
-    return 0
+    compute = weights.cell_automaton if args.command == "cell" else weights.bound
+    return _report_cell(a, compute(a, phi, caps), args)
 
 
 # ---------------------------------------------------------------------------
@@ -316,40 +284,27 @@ def _cmd_coxeter(args) -> int:
         a = coxeter.language_automaton(sys_, args.lang, caps)
         letter_doc, raw = _cone_document(a, caps)
         classes, projected, irred, vrep = _class_cone(sys_, raw, caps)
-        doc = {
-            "letters": letter_doc,
-            "parameters": {
-                "classes": [[sys_.generators[i] for i in g] for g in classes],
-                "normals": [list(v) for v in irred.normals],
-                "raw_normals": [list(v) for v in projected.normals],
-                "lineality": [list(v) for v in vrep.lineality],
-                "rays": [list(v) for v in vrep.rays],
-            },
+        p = {
+            "classes": [[sys_.generators[i] for i in g] for g in classes],
+            "normals": [list(v) for v in irred.normals],
+            "raw_normals": [list(v) for v in projected.normals],
+            "lineality": [list(v) for v in vrep.lineality],
+            "rays": [list(v) for v in vrep.rays],
         }
-        if args.format == "json":
-            _emit(_dump(doc), args.output)
-        else:
-            _print_cone(letter_doc, "text", None)
-            p = doc["parameters"]
-            _emit(
-                f"weight classes: {p['classes']}\n"
-                f"class inequalities: {p['normals']}\n"
-                f"class rays: {p['rays']} lineality: {p['lineality']}\n",
-                None,
-            )
-        return 0
+        text = _cone_text(letter_doc) + (
+            f"weight classes: {p['classes']}\n"
+            f"class inequalities: {p['normals']}\n"
+            f"class rays: {p['rays']} lineality: {p['lineality']}\n"
+        )
+        # -o takes only the JSON document; text goes to stdout
+        output = args.output if args.format == "json" else None
+        return _report({"letters": letter_doc, "parameters": p}, text, args.format, output)
     if args.subcommand in ("bound", "cell"):
         phi = weights.parse_weights(args.phi, sys_.generators)
         result = coxeter.group_cell(sys_, phi, args.lang, caps)
         # one shortlex word per element, so distinct lex words count X and Y
         X, Y = (result.circuit_words, result.free_words) if args.lang == "lex" else (result.X, result.Y)
-        sizes = [("X_size", len(X)), ("Y_size", len(Y))]
-        if args.subcommand == "bound":
-            _print_bound(result.cell_dfa, result, args.format, args.output, sizes)
-        else:
-            prefix = args.out_prefix or Path(args.file).stem
-            _print_cell(result.cell_dfa, result, args.format, args.output, prefix, sizes)
-        return 0
+        return _report_cell(result.cell_dfa, result, args, [("X_size", len(X)), ("Y_size", len(Y))])
     if args.subcommand == "probe-spherical":
         return _cmd_probe(args, sys_, caps)
     raise InputError(f"unknown coxeter subcommand {args.subcommand!r}")
@@ -400,27 +355,19 @@ def _cmd_closed_form(args, caps: Caps) -> int:
             "rho": None if spec.rho is None else [str(v) for v in spec.rho],
             "rho_basis": spec.rho_basis,
         }
-        if args.format == "json":
-            _emit(_dump(doc), None)
-        else:
-            _emit(
-                f"family: {spec.family}\nirredundant inequalities: {doc['normals']}\n"
-                f"all inequalities: {doc['all_normals']}\nrho: {doc['rho']}\n",
-                None,
-            )
-        return 0
+        text = (
+            f"family: {spec.family}\nirredundant inequalities: {doc['normals']}\n"
+            f"all inequalities: {doc['all_normals']}\nrho: {doc['rho']}\n"
+        )
+        return _report(doc, text, args.format, None)
     doc = {
         "bound": str(result.bound),
         "cell": None if result.cell is None else list(result.cell_texts()),
     }
-    if args.format == "json":
-        _emit(_dump(doc), None)
-    else:
-        cell_text = "(deferred to the generic machinery)" if result.cell is None else ", ".join(
-            w or "(empty)" for w in result.cell_texts()
-        )
-        _emit(f"bound: {result.bound}\ncell: {cell_text}\n", None)
-    return 0
+    cell_text = "(deferred to the generic machinery)" if result.cell is None else ", ".join(
+        w or "(empty)" for w in result.cell_texts()
+    )
+    return _report(doc, f"bound: {result.bound}\ncell: {cell_text}\n", args.format, None)
 
 
 def _cmd_probe(args, sys_, caps: Caps) -> int:
@@ -464,17 +411,12 @@ def _cmd_probe(args, sys_, caps: Caps) -> int:
                 ),
             }
         )
-    doc = {"language": args.lang, "samples": samples}
-    if args.format == "json":
-        _emit(_dump(doc), None)
-    else:
-        for i, sample in enumerate(samples):
-            _emit(
-                f"sample {i}: phi={sample['phi']} bound={sample['bound']} "
-                f"finite-parabolic witness: {sample['some_witness_in_finite_parabolic']}\n",
-                None,
-            )
-    return 0
+    text = "".join(
+        f"sample {i}: phi={sample['phi']} bound={sample['bound']} "
+        f"finite-parabolic witness: {sample['some_witness_in_finite_parabolic']}\n"
+        for i, sample in enumerate(samples)
+    )
+    return _report({"language": args.lang, "samples": samples}, text, args.format, None)
 
 
 # ---------------------------------------------------------------------------
@@ -491,21 +433,20 @@ def _error_doc(exc: WeightcellError) -> dict:
     return doc
 
 
+_COMMANDS = {
+    "automaton": _cmd_automaton,
+    "cone": _cmd_cone,
+    "bound": _cmd_weight,
+    "cell": _cmd_weight,
+    "coxeter": _cmd_coxeter,
+}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "automaton":
-            return _cmd_automaton(args)
-        if args.command == "cone":
-            return _cmd_cone(args)
-        if args.command == "bound":
-            return _cmd_bound(args)
-        if args.command == "cell":
-            return _cmd_cell(args)
-        if args.command == "coxeter":
-            return _cmd_coxeter(args)
-        raise InputError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](args)
     except (InputError, ResourceLimitError, PreconditionError) as exc:
         _sys.stderr.write(_dump(_error_doc(exc)))
         return exc.exit_code

@@ -67,6 +67,18 @@ def _sorted_words(words) -> tuple[Word, ...]:
     return tuple(sorted(set(words), key=lambda w: (len(w), w)))
 
 
+def _reaching(sys: CoxeterSystem, values, forms, normal_forms) -> SphericalFormulaResult:
+    """The bound is the largest of the forms.  With every weight in `values`
+    nonzero the cell is the candidate normal forms (`normal_forms()`) that
+    reach it; otherwise the cell is left to the generic machinery."""
+    value = max(forms)
+    if 0 in values:
+        return SphericalFormulaResult(sys.generators, value, None)
+    phi = WeightVector(sys.generators, values)
+    cell = [w for w in normal_forms() if weight_of_word(phi, w) == value]
+    return SphericalFormulaResult(sys.generators, value, _sorted_words(cell))
+
+
 # ---------------------------------------------------------------------------
 # General non-negative case (finite systems)
 # ---------------------------------------------------------------------------
@@ -142,24 +154,16 @@ def dihedral_bound(m: int, a, b) -> SphericalFormulaResult:
             cell = [()]
         return SphericalFormulaResult(alphabet, Fraction(0), _sorted_words(cell))
 
-    if a < 0 < b:
-        if a + b < 0:
-            return SphericalFormulaResult(alphabet, b, ((t,),))
-        if a + b == 0:
-            cell = [_alternating(t, 2 * k + 1) for k in range(m)]
-            return SphericalFormulaResult(alphabet, b, _sorted_words(cell))
-        return SphericalFormulaResult(
-            alphabet, (m - 1) * a + m * b, (_alternating(t, 2 * m - 1),)
-        )
-
-    # b < 0 < a: the mirror image with the roles of s and t swapped
-    if a + b < 0:
-        return SphericalFormulaResult(alphabet, a, ((s,),))
-    if a + b == 0:
-        cell = [_alternating(s, 2 * k + 1) for k in range(m)]
-        return SphericalFormulaResult(alphabet, a, _sorted_words(cell))
+    # a < 0 < b, or its mirror image b < 0 < a with s and t swapped:
+    # p is the generator of positive weight
+    p, pos, neg = (t, b, a) if a < 0 else (s, a, b)
+    if pos + neg < 0:
+        return SphericalFormulaResult(alphabet, pos, ((p,),))
+    if pos + neg == 0:
+        cell = [_alternating(p, 2 * k + 1) for k in range(m)]
+        return SphericalFormulaResult(alphabet, pos, _sorted_words(cell))
     return SphericalFormulaResult(
-        alphabet, (m - 1) * b + m * a, (_alternating(s, 2 * m - 1),)
+        alphabet, (m - 1) * neg + m * pos, (_alternating(p, 2 * m - 1),)
     )
 
 
@@ -168,7 +172,7 @@ def dihedral_bound(m: int, a, b) -> SphericalFormulaResult:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _b_system(n: int) -> CoxeterSystem:
     names = tuple(f"s{i}" for i in range(1, n + 1))
     mat = [[2] * n for _ in range(n)]
@@ -217,13 +221,7 @@ def bn_bound(n: int, a, b) -> SphericalFormulaResult:
     for i in range(n + 1):
         forms.append(Fraction(i * (i - 1), 2) * a + i * b)
         forms.append((n * (n - 1) - Fraction((n - i) * (n - i - 1), 2)) * a + i * b)
-    value = max(forms)
-    sys = _b_system(n)
-    if a == 0 or b == 0:
-        return SphericalFormulaResult(sys.generators, value, None)
-    phi = WeightVector(sys.generators, tuple([a] * (n - 1) + [b]))
-    cell = [w for w in _bn_normal_forms(n) if weight_of_word(phi, w) == value]
-    return SphericalFormulaResult(sys.generators, value, _sorted_words(cell))
+    return _reaching(_b_system(n), (a,) * (n - 1) + (b,), forms, lambda: _bn_normal_forms(n))
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +229,7 @@ def bn_bound(n: int, a, b) -> SphericalFormulaResult:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _f4_system() -> CoxeterSystem:
     names = ("s1", "s2", "s3", "s4")
     mat = (
@@ -292,13 +290,7 @@ def f4_bound(a, b, caps: Caps = Caps()) -> SphericalFormulaResult:
         9 * a + 12 * b,
         12 * a + 12 * b,
     )
-    value = max(forms)
-    sys = _f4_system()
-    if a == 0 or b == 0:
-        return SphericalFormulaResult(sys.generators, value, None)
-    phi = WeightVector(sys.generators, (a, a, b, b))
-    cell = [w for w in _f4_normal_forms(caps) if weight_of_word(phi, w) == value]
-    return SphericalFormulaResult(sys.generators, value, _sorted_words(cell))
+    return _reaching(_f4_system(), (a, a, b, b), forms, lambda: _f4_normal_forms(caps))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ __all__ = [
     "extreme_rays",
     "facets",
     "implies",
-    "interior",
     "project_parameters",
     "remove_redundant",
     "same_cone",
@@ -127,21 +126,12 @@ def same_cone(h1: HRep, h2: HRep, caps: Caps = Caps()) -> bool:
 
 
 def contains(h: HRep, point) -> bool:
-    vec = _point_vector(h, point)
-    return all(_dot(n, vec) <= 0 for n in h.normals)
-
-
-def interior(h: HRep, point) -> bool:
-    vec = _point_vector(h, point)
-    return all(_dot(n, vec) < 0 for n in h.normals)
-
-
-def _point_vector(h: HRep, point):
-    values = getattr(point, "values", point)
-    vec = tuple(Fraction(v) for v in values)
+    """True iff the point (a sequence or a WeightVector) satisfies every
+    inequality."""
+    vec = tuple(Fraction(v) for v in getattr(point, "values", point))
     if len(vec) != h.dim:
         raise InputError("point has wrong dimension")
-    return vec
+    return all(_dot(n, vec) <= 0 for n in h.normals)
 
 
 def _dot(a, b):

@@ -52,22 +52,22 @@ __all__ = [
     "hecke_onedim",
     "identity",
     "is_positive_definite",
-    "left_descents",
     "length",
     "lex_word",
     "longest_element",
     "minimal_roots",
     "natural_map",
-    "parabolic_consistency",
     "reduced_word_automaton",
     "shortlex_automaton",
     "system_from_json",
-    "system_to_json",
     "validate_weight",
     "weight_classes",
 ]
 
 INFINITE = 0  # JSON/bond encoding of an infinite label
+# Systems held by each per-system cache: more than the 135 (reordered)
+# systems that 25 rounds of perfbench's group-arith workload make.
+_SYSTEMS_CACHED = 256
 
 
 @dataclass(frozen=True)
@@ -102,12 +102,6 @@ class CoxeterSystem:
     def bond(self, i: int, j: int) -> int:
         return self.matrix[i][j]
 
-    def generator_index(self, name: str) -> int:
-        try:
-            return self.generators.index(name)
-        except ValueError:
-            raise InputError(f"unknown generator {name!r}") from None
-
     def reorder(self, order) -> "CoxeterSystem":
         """Same system with generators permuted (affects the shortlex order)."""
         names = tuple(order)
@@ -132,17 +126,12 @@ def system_from_json(text: str) -> CoxeterSystem:
     return CoxeterSystem(generators, matrix)
 
 
-def system_to_json(sys: CoxeterSystem) -> str:
-    doc = {"generators": list(sys.generators), "matrix": [list(r) for r in sys.matrix]}
-    return json.dumps(doc, indent=2) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Field and bilinear form
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SYSTEMS_CACHED)
 def field_modulus(sys: CoxeterSystem) -> int:
     labels = [
         sys.matrix[i][j]
@@ -153,7 +142,7 @@ def field_modulus(sys: CoxeterSystem) -> int:
     return lcm(*labels) if labels else 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SYSTEMS_CACHED)
 def bilinear_form(sys: CoxeterSystem):
     """B(alpha_i, alpha_j) = -cos(pi/m_ij), exactly -1 for infinite bonds."""
     M = field_modulus(sys)
@@ -177,7 +166,7 @@ IntVec = tuple[int, ...]  # an element of Z[2cos(pi/M)], power-basis coefficient
 IntMatrix = tuple[tuple[IntVec, ...], ...]  # rows of entries
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SYSTEMS_CACHED)
 def _kernel(sys: CoxeterSystem):
     """The integer data of the generators' action: for each s, the pairs
     (k, multiplier of 2B(alpha_s, alpha_k)) over k != s with a nonzero entry.
@@ -244,7 +233,7 @@ class GroupElement:
         return self.mat == _identity_matrix(self.system)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SYSTEMS_CACHED)
 def _identity_matrix(sys: CoxeterSystem) -> IntMatrix:
     deg = len(minimal_polynomial_of_2cos(field_modulus(sys))) - 1
     one = (1,) + (0,) * (deg - 1)
@@ -294,15 +283,6 @@ def right_mul(g: GroupElement, s: int) -> GroupElement:
     )
 
 
-def left_mul(s: int, g: GroupElement) -> GroupElement:
-    sys = g.system
-    return GroupElement(
-        sys,
-        _left_mul_matrix(sys, s, g.mat),
-        _right_mul_matrix(sys, g.inv, s),
-    )
-
-
 def natural_map(sys: CoxeterSystem, w: Word) -> GroupElement:
     """The product of the generators of w, left to right."""
     mat = inv = _identity_matrix(sys)
@@ -319,13 +299,6 @@ def _is_negative_column(M: int, x: IntMatrix, s: int) -> bool:
         if any(row[s]):
             return int_sign(M, row[s]) < 0
     raise InputError("the zero vector is not a root")
-
-
-def left_descents(sys: CoxeterSystem, g: GroupElement) -> frozenset[int]:
-    """Generators t with l(tg) < l(g): those whose root is sent negative by
-    the inverse."""
-    M = field_modulus(sys)
-    return frozenset(t for t in range(sys.rank) if _is_negative_column(M, g.inv, t))
 
 
 def right_descents(sys: CoxeterSystem, g: GroupElement) -> frozenset[int]:
@@ -575,23 +548,26 @@ def weight_classes(sys: CoxeterSystem) -> tuple[tuple[int, ...], ...]:
 def validate_weight(sys: CoxeterSystem, assignment) -> bool:
     """True iff the letter assignment extends to a weight function on the
     group: constant on every odd-bond class."""
-    phi = _as_weight_vector(sys, assignment)
-    return all(len({phi.values[i] for i in group}) == 1 for group in weight_classes(sys))
+    return _as_weight_vector(sys, assignment)[1]
 
 
-def _as_weight_vector(sys: CoxeterSystem, assignment) -> WeightVector:
+def _as_weight_vector(sys: CoxeterSystem, assignment) -> tuple[WeightVector, bool]:
+    """The assignment as a weight vector, and whether it is constant on
+    every odd-bond class."""
     if isinstance(assignment, WeightVector):
         if tuple(assignment.alphabet) != sys.generators:
             raise InputError("weight vector alphabet does not match the generators")
-        return assignment
-    return WeightVector.from_mapping(sys.generators, assignment)
+        phi = assignment
+    else:
+        phi = WeightVector.from_mapping(sys.generators, assignment)
+    return phi, all(len({phi.values[i] for i in group}) == 1 for group in weight_classes(sys))
 
 
 def _group_weight(sys: CoxeterSystem, assignment) -> WeightVector:
     """The assignment as a weight vector; InputError unless it extends to a
     weight function on the group."""
-    phi = _as_weight_vector(sys, assignment)
-    if not validate_weight(sys, phi):
+    phi, extends = _as_weight_vector(sys, assignment)
+    if not extends:
         raise InputError(
             "assignment does not extend to a weight function (odd-bond values differ)"
         )
@@ -659,28 +635,6 @@ def group_cell(
     )
 
 
-def parabolic_consistency(sys: CoxeterSystem, assignment, g: GroupElement) -> tuple[str, ...]:
-    """Sanity checks a cell element must satisfy: generators of positive
-    weight shorten it on both sides, generators of negative weight lengthen
-    it on both sides.  Returns the violated facts (empty when consistent)."""
-    phi = _as_weight_vector(sys, assignment)
-    lg = length(sys, g)
-    violations = []
-    for s in range(sys.rank):
-        value = phi.values[s]
-        if value == 0:
-            continue
-        expected = lg - 1 if value > 0 else lg + 1
-        for side, h in (("left", left_mul(s, g)), ("right", right_mul(g, s))):
-            actual = length(sys, h)
-            if actual != expected:
-                violations.append(
-                    f"{side} multiplication by {sys.generators[s]} gives length "
-                    f"{actual}, expected {expected}"
-                )
-    return tuple(violations)
-
-
 @dataclass(frozen=True)
 class HeckeOneDim:
     phi: WeightVector
@@ -731,7 +685,7 @@ def hecke_onedim(sys: CoxeterSystem, psi, signs, caps: Caps = Caps()) -> HeckeOn
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SYSTEMS_CACHED)
 def is_positive_definite(
     sys: CoxeterSystem, subset: tuple[int, ...] | None = None, caps: Caps = Caps()
 ) -> bool:

@@ -62,7 +62,7 @@ def _poly_divexact(p: list[int], q: list[int]) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _cyclotomic(n: int) -> tuple[int, ...]:
     """n-th cyclotomic polynomial, by dividing x^n - 1 by the proper divisors'."""
     f = [-1] + [0] * (n - 1) + [1]
@@ -85,7 +85,7 @@ def _euler_phi(n: int) -> int:
     return result
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def minimal_polynomial_of_2cos(M: int) -> tuple[int, ...]:
     """Monic minimal polynomial of 2cos(pi/M) over Q, ascending coefficients.
 
@@ -128,7 +128,7 @@ def minimal_polynomial_of_2cos(M: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _field_data(M: int):
     """Degree and the integer reduction rows of x^k (deg <= k <= 2deg-2) for
     the modulus M; integers because the minimal polynomial is monic."""
@@ -163,7 +163,7 @@ def _reduce(M: int, coeffs: list) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def int_multiplier(M: int, c: tuple[int, ...]):
     """Multiplication by the fixed element c, for `int_mul_sub`: (c0, None)
     when c is the integer c0, else (None, rows) with rows the integer matrix

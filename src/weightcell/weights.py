@@ -6,11 +6,10 @@ counts of the simple circuits cut out the cone of bounded weight functions,
 and the cell (the words attaining the bound) is again regular, recognised
 by the tight sub-automaton of maximal-weight runs.
 
-One path-weight core serves `bound`, `cell_automaton` and
-`strictly_negative_cell`: Johnson's circuit search decides boundedness, a
-forward and a backward path relaxation give the bound and the tight
-sub-automaton, and the witnesses are the circuit-free words of that
-sub-automaton.
+One path-weight core serves `bound` and `cell_automaton`: Johnson's
+circuit search decides boundedness, a forward and a backward path
+relaxation give the bound and the tight sub-automaton, and the witnesses
+are the circuit-free words of that sub-automaton.
 
 All comparisons are exact; there are no tolerance parameters.
 """
@@ -24,7 +23,7 @@ from functools import cached_property, lru_cache
 from math import lcm
 
 from .automata import Automaton, Word, _out_edges, determinize, is_trim, minimize, trim
-from .errors import InputError, PreconditionError, ResourceLimitError, UnboundedError
+from .errors import InputError, ResourceLimitError, UnboundedError
 from .limits import Caps
 
 __all__ = [
@@ -39,7 +38,6 @@ __all__ = [
     "parse_weights",
     "simple_circuit_words",
     "simple_cycles",
-    "strictly_negative_cell",
     "weight_of_word",
 ]
 
@@ -76,9 +74,6 @@ class WeightVector:
             return self.values[self.alphabet.index(name)]
         except ValueError:
             raise InputError(f"unknown letter {name!r}") from None
-
-    def as_dict(self) -> dict[str, Fraction]:
-        return dict(zip(self.alphabet, self.values))
 
     @cached_property
     def _integral(self) -> tuple[tuple[int, ...], int]:
@@ -301,7 +296,8 @@ class BoundednessReport:
 class CellResult:
     """Exact bound, its circuit-free witnesses, and (when computed) the
     cell automata: `cell_nfa` is the raw tight sub-automaton straight out of
-    the construction, `cell_dfa` its trimmed, determinized, minimized form."""
+    the construction (a sub-automaton of a DFA, so deterministic, though
+    possibly not trim), `cell_dfa` its trimmed, minimized form."""
 
     bound: Fraction
     witnesses: tuple[Word, ...]
@@ -332,7 +328,7 @@ def is_bounded(a: Automaton, phi: WeightVector, caps: Caps = Caps()) -> Boundedn
 
 
 def _tight(a: Automaton, phi: WeightVector, caps: Caps = Caps()):
-    """The path-weight core: (report, bound, tight NFA, its trimmed form).
+    """The path-weight core: (bound, tight sub-automaton, its trimmed form).
 
     Johnson's circuit search decides boundedness; then, with no positive
     circuit, an exact relaxation gives maxhead (the heaviest path from the
@@ -371,7 +367,7 @@ def _tight(a: Automaton, phi: WeightVector, caps: Caps = Caps()):
     )
     accept = frozenset(renum[q] for q in d.accept if q in renum and maxtail[q] == 0)
     raw = Automaton(a.alphabet, len(tight), renum[d.start], accept, transitions)
-    return report, b, raw, trim(raw)
+    return b, raw, trim(raw)
 
 
 def _relax(n: int, sources, edges) -> list[Fraction | None]:
@@ -411,7 +407,7 @@ def bound(a: Automaton, phi: WeightVector, caps: Caps = Caps()) -> CellResult:
     circuit-free words of maximal weight: the tight sub-automaton is a
     subgraph of the DFA and trimming keeps the order of its states, so both
     circuit-freeness and the shortlex order carry over."""
-    _, b, _, cell = _tight(a, phi, caps)
+    b, _, cell = _tight(a, phi, caps)
     return CellResult(b, tuple(circuit_free_words(cell, caps=caps)))
 
 
@@ -425,27 +421,13 @@ def cell_automaton(a: Automaton, phi: WeightVector, caps: Caps = Caps()) -> Cell
     any bounded-depth attachment, so the tight sub-automaton construction
     is used instead.)
 
-    Returns the raw sub-automaton together with its trimmed, determinized,
-    minimized form.
+    Returns the raw sub-automaton together with its trimmed, minimized
+    form; the sub-automaton of a DFA is deterministic, so no subset
+    construction is needed.
     """
-    _, b, raw, cell = _tight(a, phi, caps)
+    b, raw, cell = _tight(a, phi, caps)
     witnesses = tuple(circuit_free_words(cell, caps=caps))
-    return CellResult(b, witnesses, raw, minimize(determinize(cell, caps)))
-
-
-def strictly_negative_cell(
-    a: Automaton, phi: WeightVector, caps: Caps = Caps()
-) -> tuple[Word, ...]:
-    """Fast path: when every simple circuit has strictly negative weight the
-    cell is finite and equals the witness set; no cell DFA is built."""
-    report, _, _, cell = _tight(a, phi, caps)
-    numerators = phi._integral[0]
-    if any(sum(c * n for c, n in zip(counts, numerators)) == 0 for counts in report.inequalities):
-        raise PreconditionError(
-            "a circuit of weight zero exists; the cell is infinite, "
-            "use cell_automaton instead"
-        )
-    return tuple(circuit_free_words(cell, caps=caps))
+    return CellResult(b, witnesses, raw, minimize(cell))
 
 
 def boundedness_cone_vectors(a: Automaton, caps: Caps = Caps()) -> list[tuple[int, ...]]:

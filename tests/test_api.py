@@ -1,5 +1,7 @@
 """The public API is declared once, in each module's `__all__`."""
 
+from pathlib import Path
+
 import weightcell
 from weightcell import automata, closedforms, cones, coxeter, cyclo, errors, limits, weights
 
@@ -23,3 +25,17 @@ def test_every_name_resolves_to_its_module_object():
     owners = _owners()
     for name in weightcell.__all__:
         assert getattr(weightcell, name) is getattr(owners[name], name), name
+
+
+def test_every_cache_is_bounded():
+    caches = {}
+    for module in MODULES:
+        for name, fn in vars(module).items():
+            if not hasattr(fn, "cache_parameters"):  # perhaps a tracing wrapper
+                fn = getattr(fn, "__wrapped__", fn)
+            if hasattr(fn, "cache_parameters") and fn.__module__ == module.__name__:
+                caches[f"{module.__name__}.{name}"] = fn
+    # the walk finds every decorated function
+    assert len(caches) == sum(Path(m.__file__).read_text().count("@lru_cache(") for m in MODULES)
+    unbounded = [name for name, fn in caches.items() if type(fn.cache_parameters()["maxsize"]) is not int]
+    assert not unbounded

@@ -3,6 +3,7 @@ oracle, group weight functions, cells, and the Hecke view."""
 
 import importlib.util
 import itertools
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,27 +30,24 @@ from weightcell.coxeter import (
     identity,
     is_positive_definite,
     language_automaton,
-    left_descents,
     length,
     lex_word,
     longest_element,
     minimal_roots,
     field_modulus,
     natural_map,
-    parabolic_consistency,
     parabolic_elements,
     reduced_word_automaton,
     right_mul,
     shortlex_automaton,
     system_from_json,
-    system_to_json,
     validate_weight,
     weight_classes,
 )
 from weightcell.cyclo import CycloReal
-from weightcell.errors import InputError, PreconditionError, ResourceLimitError, UnboundedError
+from weightcell.errors import InputError, ResourceLimitError, UnboundedError
 from weightcell.limits import Caps
-from weightcell.weights import WeightVector, strictly_negative_cell
+from weightcell.weights import WeightVector, is_bounded
 
 from conftest import (
     b_series_system,
@@ -173,7 +171,8 @@ class TestCoxeterSystem:
             CoxeterSystem(("s", "t"), ((1, 1), (1, 1)))
 
     def test_json_roundtrip(self, sys_246):
-        assert system_from_json(system_to_json(sys_246)) == sys_246
+        doc = {"generators": list(sys_246.generators), "matrix": [list(r) for r in sys_246.matrix]}
+        assert system_from_json(json.dumps(doc)) == sys_246
 
     def test_json_infinite_encoding(self):
         sys = system_from_json('{"generators": ["s", "t"], "matrix": [[1, 0], [0, 1]]}')
@@ -239,7 +238,7 @@ class TestGroupArithmetic:
 
     def test_left_descents(self, sys_246):
         g = natural_map(sys_246, (1, 0, 1))  # t s t
-        assert 1 in left_descents(sys_246, g)
+        assert length(sys_246, natural_map(sys_246, (1, 1, 0, 1))) < length(sys_246, g)
 
     def test_ball_layers(self):
         sys = triangle_system(3, 3, 3)
@@ -638,32 +637,17 @@ class TestGroupCell:
         assert len(result.X) == len(result.circuit_words)
         assert len(result.Y) == len(result.free_words)
 
-    def test_238_zero_circuit_error_path(self):
+    def test_238_zero_circuit_infinite_cell(self):
+        # the circuits with letter counts (1, 3, 3) weigh 0, so the cell is
+        # infinite: its DFA accepts words longer than every witness
         sys = triangle_system(2, 3, 8)
         a = shortlex_automaton(sys)
-        phi = WeightVector(sys.generators, (-1, -1, 2))
-        with pytest.raises(PreconditionError):
-            strictly_negative_cell(a, phi)
-
-
-class TestParabolicConsistency:
-    def test_t_in_phi3_cell(self, sys_246):
-        g = natural_map(sys_246, (1,))
-        assert parabolic_consistency(sys_246, {"s": -1, "t": 1, "u": -1}, g) == ()
-
-    def test_stst_in_intro_cell(self, sys_246):
-        g = natural_map(sys_246, (0, 1, 0, 1))
-        assert parabolic_consistency(sys_246, {"s": 1, "t": 2, "u": -5}, g) == ()
-
-    def test_identity_all_negative(self, sys_246):
-        g = identity(sys_246)
-        assert parabolic_consistency(sys_246, {"s": -1, "t": -1, "u": -1}, g) == ()
-
-    def test_violation_reported(self, sys_246):
-        # t has positive weight but the identity is not shortened by it
-        g = identity(sys_246)
-        violations = parabolic_consistency(sys_246, {"s": -1, "t": 1, "u": -1}, g)
-        assert violations
+        phi = WeightVector(sys.generators, (-3, -3, 4))
+        assert (1, 3, 3) in is_bounded(a, phi).inequalities
+        result = group_cell(sys, phi)
+        longest = max(map(len, result.witnesses))
+        words = enumerate_words(result.cell_dfa, 2 * a.n_states)
+        assert any(len(w) > longest for w in words)
 
 
 class TestHecke:

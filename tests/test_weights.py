@@ -8,11 +8,14 @@ import pytest
 from weightcell.automata import (
     Automaton,
     accepts,
+    determinize,
     enumerate_words,
     equivalent,
+    minimize,
+    to_json,
     trim,
 )
-from weightcell.errors import InputError, PreconditionError, ResourceLimitError, UnboundedError
+from weightcell.errors import InputError, ResourceLimitError, UnboundedError
 from weightcell.limits import Caps
 from weightcell.weights import (
     CellResult,
@@ -26,7 +29,6 @@ from weightcell.weights import (
     prepared,
     simple_circuit_words,
     simple_cycles,
-    strictly_negative_cell,
     weight_of_word,
 )
 
@@ -432,25 +434,69 @@ class TestCell:
         assert enumerate_words(result.cell_dfa, maxlen) == argmax
         assert enumerate_words(result.cell_dfa, maxlen)  # nonempty
 
+    @pytest.mark.parametrize(
+        "fixture,text",
+        [
+            ("ex_dihedral", "s=1,t=-1"),
+            ("ex_dihedral", "s=1,t=-2"),
+            ("ex_cell_nfa", "s=-1,t=-2"),
+            ("fig_246", "s=1,t=2,u=-5"),
+            ("fig_246", "s=-1,t=1,u=-1"),
+            ("fig_246", "s=0,t=0,u=0"),
+            ("fig_333", "s=0,t=1,u=-1"),
+            ("fig_333", "s=1,t=-1,u=-1"),
+            ("fig_333", "s=-1,t=-1,u=-1"),
+        ],
+    )
+    def test_tight_sub_automaton_is_deterministic(self, request, fixture, text):
+        # cut out of the prepared DFA, so minimize needs no subset construction
+        a = request.getfixturevalue(fixture)
+        result = cell_automaton(a, wv(a, text))
+        assert result.cell_nfa.deterministic
+        cell = trim(result.cell_nfa)
+        assert to_json(result.cell_dfa) == to_json(minimize(cell))
+        assert to_json(minimize(cell)) == to_json(minimize(determinize(cell)))
+
+
+def finite_cell(a, phi):
+    """The cell of phi on a, checked to be finite and to be exactly `bound`'s
+    witnesses: a cell DFA with an infinite language accepts a word of length
+    at least its state count and below twice that count."""
+    result = cell_automaton(a, phi)
+    words = enumerate_words(result.cell_dfa, 2 * prepared(a).n_states)
+    assert sorted(words) == sorted(result.witnesses)
+    assert bound(a, phi).witnesses == result.witnesses
+    return result.witnesses
+
 
 class TestStrictlyNegativeCell:
-    def test_dihedral_fast_path(self, ex_dihedral):
-        cell = strictly_negative_cell(ex_dihedral, wv(ex_dihedral, "s=1,t=-2"))
-        assert cell == (ex_dihedral.word("s"),)
-        full = cell_automaton(ex_dihedral, wv(ex_dihedral, "s=1,t=-2"))
-        assert set(enumerate_words(full.cell_dfa, 10)) == set(cell)
+    """With every circuit of negative weight the cell is finite: the cell
+    DFA's words are exactly `bound`'s witnesses."""
 
-    def test_zero_circuit_rejected(self, ex_dihedral):
-        with pytest.raises(PreconditionError):
-            strictly_negative_cell(ex_dihedral, wv(ex_dihedral, "s=1,t=-1"))
+    def test_dihedral_cell_is_the_witnesses(self, ex_dihedral):
+        assert finite_cell(ex_dihedral, wv(ex_dihedral, "s=1,t=-2")) == (ex_dihedral.word("s"),)
 
     def test_positive_circuit_rejected(self, ex_dihedral):
-        with pytest.raises(UnboundedError):
-            strictly_negative_cell(ex_dihedral, wv(ex_dihedral, "s=2,t=-1"))
+        for entry in (bound, cell_automaton):
+            with pytest.raises(UnboundedError):
+                entry(ex_dihedral, wv(ex_dihedral, "s=2,t=-1"))
 
-    def test_all_negative(self, fig_246):
-        cell = strictly_negative_cell(fig_246, wv(fig_246, "s=-1,t=-1,u=-1"))
-        assert cell == ((),)
+    def test_all_negative(self, fig_246, fig_333):
+        assert finite_cell(fig_246, wv(fig_246, "s=-1,t=-1,u=-1")) == ((),)
+        assert finite_cell(fig_333, wv(fig_333, "s=1,t=-2,u=-2")) == ((0,),)
+
+    def test_random_negative_letters(self):
+        # every letter negative makes every circuit negative
+        rng = random.Random(5)
+        checked = 0
+        while checked < 25:
+            a = trim(random_automaton(rng, max_states=5))
+            if not a.accept:
+                continue
+            values = (Fraction(-rng.randint(1, 6), rng.randint(1, 3)) for _ in a.alphabet)
+            phi = WeightVector(a.alphabet, tuple(values))
+            assert finite_cell(a, phi)
+            checked += 1
 
     def test_unbounded_wins_over_an_earlier_zero_circuit(self):
         # Johnson finds the zero loop a at state 0 before the positive loop c
@@ -459,7 +505,7 @@ class TestStrictlyNegativeCell:
         with pytest.raises(UnboundedError) as expected:
             bound(a, phi)
         with pytest.raises(UnboundedError) as info:
-            strictly_negative_cell(a, phi)
+            cell_automaton(a, phi)
         assert info.value.word == expected.value.word == ("c",)
 
 
