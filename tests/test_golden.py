@@ -146,6 +146,21 @@ CASES = {
         ["coxeter", "closed-form", "ct", "--n", "3", "--phi", "a=1,b=-1,c=2", "--format", "json"],
         [],
     ),
+    # the automaton writers: reverse in its default format, DOT from min and build
+    "automaton-reverse-fig246-default": (["automaton", "reverse", "fig246.json"], []),
+    "automaton-min-rev246-dot": (["automaton", "min", "rev246.json", "--format", "dot"], []),
+    "coxeter-build-246-dot": (["coxeter", "build", "t246.json", "--format", "dot"], []),
+    # -o takes the document, and stdout stays empty
+    "coxeter-cone-246-json-output": (
+        ["coxeter", "cone", "t246.json", "--format", "json", "-o", "cone246.json"],
+        ["cone246.json"],
+    ),
+    # a > 0 > b at rank 6, and a < 0 < b at rank 12
+    "closed-form-b6-text": (["coxeter", "closed-form", "b", "--n", "6", "--phi", "a=1,b=-2"], []),
+    "closed-form-b12-json": (
+        ["coxeter", "closed-form", "b", "--n", "12", "--phi", "a=-1,b=6", "--format", "json"],
+        [],
+    ),
 }
 
 
