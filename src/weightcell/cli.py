@@ -37,12 +37,17 @@ def _build_parser() -> _Parser:
         p.add_argument("--max-states", type=int, default=None)
         p.add_argument("--max-cycles", type=int, default=None)
 
+    def add_format(p, writer=False):
+        # offer only what the command writes: an automaton as JSON or DOT, a report as text or JSON
+        other = "dot" if writer else "text"
+        p.add_argument("--format", choices=("json", other), default="json" if writer else other)
+
     auto = sub.add_parser("automaton", help="inspect and normalize automaton files")
     auto_sub = auto.add_subparsers(dest="subcommand", required=True)
     for name in ("info", "min", "enum", "reverse"):
         p = auto_sub.add_parser(name)
         p.add_argument("file")
-        p.add_argument("--format", choices=("json", "dot", "text"), default="text")
+        add_format(p, writer=name in ("min", "reverse"))
         p.add_argument("-o", "--output", default=None)
         add_caps(p)
         if name == "enum":
@@ -51,14 +56,14 @@ def _build_parser() -> _Parser:
 
     cone_p = sub.add_parser("cone", help="boundedness cone of an automaton's language")
     cone_p.add_argument("file")
-    cone_p.add_argument("--format", choices=("json", "text"), default="text")
+    add_format(cone_p)
     add_caps(cone_p)
 
     for name in ("bound", "cell"):
         p = sub.add_parser(name, help=f"{name} of a weight function on an automaton's language")
         p.add_argument("file")
         p.add_argument("--phi", required=True)
-        p.add_argument("--format", choices=("json", "text"), default="text")
+        add_format(p)
         add_caps(p)
         if name == "cell":
             p.add_argument("--out-prefix", default=None)
@@ -66,17 +71,17 @@ def _build_parser() -> _Parser:
     cox = sub.add_parser("coxeter", help="pipeline from a Coxeter matrix file")
     cox_sub = cox.add_subparsers(dest="subcommand", required=True)
 
-    def add_cox_common(p, phi=False):
+    def add_cox_common(p, phi=False, writer=False):
         p.add_argument("file")
         p.add_argument("--order", default=None, help="comma-separated generator order")
         p.add_argument("--lang", choices=("lex", "reduced"), default="lex")
-        p.add_argument("--format", choices=("json", "dot", "text"), default="text")
+        add_format(p, writer)
         p.add_argument("-o", "--output", default=None)
         add_caps(p)
         if phi:
             p.add_argument("--phi", required=True)
 
-    add_cox_common(cox_sub.add_parser("build"))
+    add_cox_common(cox_sub.add_parser("build"), writer=True)
     add_cox_common(cox_sub.add_parser("cone"))
     add_cox_common(cox_sub.add_parser("bound"), phi=True)
     cell_p = cox_sub.add_parser("cell")
@@ -89,7 +94,7 @@ def _build_parser() -> _Parser:
     closed.add_argument("--m", type=int, default=None)
     closed.add_argument("--n", type=int, default=None)
     closed.add_argument("--file", default=None, help="Coxeter matrix file (nonneg only)")
-    closed.add_argument("--format", choices=("json", "text"), default="text")
+    add_format(closed)
 
     probe = cox_sub.add_parser("probe-spherical")
     probe.add_argument("file")
@@ -151,6 +156,12 @@ def _report(doc, text: str, fmt: str, output: str | None) -> int:
     return 0
 
 
+def _write_automaton(a: automata.Automaton, args) -> int:
+    """Write `a` as JSON or DOT; exit code 0."""
+    _emit(automata.to_dot(a) if args.format == "dot" else automata.to_json(a), args.output)
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # automaton subcommands
 # ---------------------------------------------------------------------------
@@ -177,12 +188,8 @@ def _cmd_automaton(args) -> int:
         text = "".join(a.format_word(w) + "\n" for w in words)
         return _report([list(a.word_names(w)) for w in words], text, args.format, args.output)
     if args.subcommand == "min":
-        result = automata.minimize(automata.determinize(a, caps))
-    else:  # reverse
-        result = automata.reverse(a)
-    text = automata.to_dot(result) if args.format == "dot" else automata.to_json(result)
-    _emit(text, args.output)
-    return 0
+        return _write_automaton(automata.minimize(automata.determinize(a, caps)), args)
+    return _write_automaton(automata.reverse(a), args)
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +284,7 @@ def _cmd_coxeter(args) -> int:
         return _cmd_closed_form(args, caps)
     sys_ = _load_system(args)
     if args.subcommand == "build":
-        a = coxeter.language_automaton(sys_, args.lang, caps)
-        _emit(automata.to_dot(a) if args.format == "dot" else automata.to_json(a), args.output)
-        return 0
+        return _write_automaton(coxeter.language_automaton(sys_, args.lang, caps), args)
     if args.subcommand == "cone":
         a = coxeter.language_automaton(sys_, args.lang, caps)
         letter_doc, raw = _cone_document(a, caps)
@@ -296,56 +301,40 @@ def _cmd_coxeter(args) -> int:
             f"class inequalities: {p['normals']}\n"
             f"class rays: {p['rays']} lineality: {p['lineality']}\n"
         )
-        # -o takes only the JSON document; text goes to stdout
-        output = args.output if args.format == "json" else None
-        return _report({"letters": letter_doc, "parameters": p}, text, args.format, output)
+        return _report({"letters": letter_doc, "parameters": p}, text, args.format, args.output)
     if args.subcommand in ("bound", "cell"):
         phi = weights.parse_weights(args.phi, sys_.generators)
         result = coxeter.group_cell(sys_, phi, args.lang, caps)
         # one shortlex word per element, so distinct lex words count X and Y
         X, Y = (result.circuit_words, result.free_words) if args.lang == "lex" else (result.X, result.Y)
         return _report_cell(result.cell_dfa, result, args, [("X_size", len(X)), ("Y_size", len(Y))])
-    if args.subcommand == "probe-spherical":
-        return _cmd_probe(args, sys_, caps)
-    raise InputError(f"unknown coxeter subcommand {args.subcommand!r}")
+    return _cmd_probe(args, sys_, caps)  # probe-spherical
 
 
 def _cmd_closed_form(args, caps: Caps) -> int:
-    params = dict(weights.assignments(args.phi))
-
-    def need(*names):
-        missing = [k for k in names if k not in params]
-        if missing:
-            raise InputError(f"missing parameters: {', '.join(missing)}")
-
     family = args.family
-    if family == "dihedral":
-        if args.m is None:
-            raise InputError("the dihedral family needs --m")
-        need("a", "b")
-        result = dihedral_bound(args.m, params["a"], params["b"])
-    elif family == "b":
-        if args.n is None:
-            raise InputError("the b family needs --n")
-        need("a", "b")
-        result = bn_bound(args.n, params["a"], params["b"])
-    elif family == "f4":
-        need("a", "b")
-        result = f4_bound(params["a"], params["b"], caps)
-    elif family == "nonneg":
+    if family == "nonneg":
         if not args.file:
             raise InputError("closed-form nonneg needs --file with a Coxeter matrix")
         sys_ = coxeter.system_from_json(_read(args.file))
-        result = spherical_nonneg(sys_, params, caps)
+        names = sys_.generators
+    else:
+        names = ("a", "b", "c") if family == "ct" else ("a", "b")
+    phi = weights.parse_weights(args.phi, names)
+    if family == "dihedral":
+        if args.m is None:
+            raise InputError("the dihedral family needs --m")
+        result = dihedral_bound(args.m, *phi.values)
+    elif family == "b":
+        if args.n is None:
+            raise InputError("the b family needs --n")
+        result = bn_bound(args.n, *phi.values)
+    elif family == "f4":
+        result = f4_bound(*phi.values, caps)
+    elif family == "nonneg":
+        result = spherical_nonneg(sys_, phi, caps)
     else:  # affine families
-        need("a", "b")
-        spec = affine_cone(
-            family.capitalize() if family != "ft4" else "Ft4",
-            params["a"],
-            params["b"],
-            params.get("c"),
-            n=args.n,
-        )
+        spec = affine_cone(family, *phi.values, n=args.n)
         doc = {
             "family": spec.family,
             "rank": spec.rank,

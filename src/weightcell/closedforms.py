@@ -67,16 +67,16 @@ def _sorted_words(words) -> tuple[Word, ...]:
     return tuple(sorted(set(words), key=lambda w: (len(w), w)))
 
 
-def _reaching(sys: CoxeterSystem, values, forms, normal_forms) -> SphericalFormulaResult:
+def _reaching(alphabet, values, forms, normal_forms) -> SphericalFormulaResult:
     """The bound is the largest of the forms.  With every weight in `values`
     nonzero the cell is the candidate normal forms (`normal_forms()`) that
     reach it; otherwise the cell is left to the generic machinery."""
     value = max(forms)
     if 0 in values:
-        return SphericalFormulaResult(sys.generators, value, None)
-    phi = WeightVector(sys.generators, values)
+        return SphericalFormulaResult(alphabet, value, None)
+    phi = WeightVector(alphabet, values)
     cell = [w for w in normal_forms() if weight_of_word(phi, w) == value]
-    return SphericalFormulaResult(sys.generators, value, _sorted_words(cell))
+    return SphericalFormulaResult(alphabet, value, _sorted_words(cell))
 
 
 # ---------------------------------------------------------------------------
@@ -172,20 +172,15 @@ def dihedral_bound(m: int, a, b) -> SphericalFormulaResult:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=16)
-def _b_system(n: int) -> CoxeterSystem:
-    names = tuple(f"s{i}" for i in range(1, n + 1))
-    mat = [[2] * n for _ in range(n)]
-    for i in range(n):
-        mat[i][i] = 1
-    for i in range(n - 1):
-        mat[i][i + 1] = mat[i + 1][i] = 4 if i == n - 2 else 3
-    return CoxeterSystem(names, tuple(tuple(row) for row in mat))
-
-
 def _bn_extremal_words(n: int) -> list[Word]:
     """The minimal- and maximal-length double-coset representatives with
-    respect to the parabolic on the first n-1 generators (0-based letters)."""
+    respect to the parabolic W_J on the first n-1 generators (0-based
+    letters).  They are shortlex normal forms: each is u.c, u empty or the
+    normal form 0|10|210|... of W_J's longest element and c, runs down from
+    the bond-4 letter n-1, the shortest element of W_J c.  So each suffix
+    starts with the smallest left descent of its element: in u, as c adds
+    no left descent in J; in c, whose suffixes have no left descent but
+    their first letter and n-1, the largest letter."""
     words: list[Word] = []
     for i in range(n + 1):
         x: list[int] = []
@@ -203,14 +198,6 @@ def _bn_extremal_words(n: int) -> list[Word]:
     return words
 
 
-@lru_cache(maxsize=16)
-def _bn_normal_forms(n: int) -> tuple[Word, ...]:
-    """Shortlex normal forms of the extremal words; they do not depend on
-    the weights."""
-    sys = _b_system(n)
-    return tuple(lex_word(sys, natural_map(sys, w)) for w in _bn_extremal_words(n))
-
-
 def bn_bound(n: int, a, b) -> SphericalFormulaResult:
     """Bound (always) and cell (for a, b nonzero) in the B-series, with
     weight a on the chain generators and b on the bond-4 generator."""
@@ -221,7 +208,8 @@ def bn_bound(n: int, a, b) -> SphericalFormulaResult:
     for i in range(n + 1):
         forms.append(Fraction(i * (i - 1), 2) * a + i * b)
         forms.append((n * (n - 1) - Fraction((n - i) * (n - i - 1), 2)) * a + i * b)
-    return _reaching(_b_system(n), (a,) * (n - 1) + (b,), forms, lambda: _bn_normal_forms(n))
+    names = tuple(f"s{i}" for i in range(1, n + 1))
+    return _reaching(names, (a,) * (n - 1) + (b,), forms, lambda: _bn_extremal_words(n))
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +278,7 @@ def f4_bound(a, b, caps: Caps = Caps()) -> SphericalFormulaResult:
         9 * a + 12 * b,
         12 * a + 12 * b,
     )
-    return _reaching(_f4_system(), (a, a, b, b), forms, lambda: _f4_normal_forms(caps))
+    return _reaching(_f4_system().generators, (a, a, b, b), forms, lambda: _f4_normal_forms(caps))
 
 
 # ---------------------------------------------------------------------------

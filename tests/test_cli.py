@@ -401,6 +401,66 @@ class TestInputTypes:
         assert json.loads(err)["error"]["type"] == "InputError"
 
 
+class TestOptionContract:
+    """A command accepts only the formats it writes, `-o` takes every
+    format, and `closed-form` reads its parameters as `bound` reads weights."""
+
+    @pytest.mark.parametrize(
+        "command,fmt",
+        [
+            (("automaton", "info", "FILE"), "dot"),
+            (("automaton", "enum", "FILE", "--maxlen", "2"), "dot"),
+            (("coxeter", "cone", "SYS"), "dot"),
+            (("coxeter", "bound", "SYS", "--phi", "s=-1,t=1,u=-1"), "dot"),
+            (("coxeter", "cell", "SYS", "--phi", "s=-1,t=1,u=-1"), "dot"),
+            (("automaton", "min", "FILE"), "text"),
+            (("automaton", "reverse", "FILE"), "text"),
+            (("coxeter", "build", "SYS"), "text"),
+        ],
+        ids=["info", "enum", "cone", "bound", "cell", "min", "reverse", "build"],
+    )
+    def test_format_the_command_does_not_write_exit_2(
+        self, capsys, dihedral_file, delta246_file, command, fmt
+    ):
+        files = {"FILE": dihedral_file, "SYS": delta246_file}
+        code, out, err = run(capsys, *[files.get(arg, arg) for arg in command], "--format", fmt)
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert (error["code"], error["type"]) == (2, "InputError")
+
+    def test_cone_text_output(self, capsys, delta246_file, tmp_path):
+        # golden case coxeter-cone-246-json-output holds the json format
+        code, want, _ = run(capsys, "coxeter", "cone", delta246_file)
+        assert code == 0
+        path = tmp_path / "cone.txt"
+        code, out, err = run(capsys, "coxeter", "cone", delta246_file, "--format", "text", "-o", str(path))
+        assert (code, out, err) == (0, "", "")
+        assert path.read_text() == want
+
+    @pytest.mark.parametrize(
+        "family,argv,phi",
+        [
+            ("f4", [], "a=1,b=-1"),
+            ("b", ["--n", "3"], "a=1,b=-1"),
+            ("dihedral", ["--m", "3"], "a=1,b=-1"),
+            ("ct", ["--n", "2"], "a=1,b=1,c=1"),
+            ("nonneg", ["--file", "B3"], "s0=1,s1=1,s2=1"),
+        ],
+        ids=["f4", "b", "dihedral", "ct", "nonneg"],
+    )
+    def test_closed_form_parameters(self, capsys, tmp_path, family, argv, phi):
+        b3 = tmp_path / "b3.json"
+        matrix = [[1, 3, 2], [3, 1, 4], [2, 4, 1]]  # B3: s0 -3- s1 -4- s2
+        b3.write_text(json.dumps({"generators": ["s0", "s1", "s2"], "matrix": matrix}))
+        argv = ["coxeter", "closed-form", family, *(str(b3) if arg == "B3" else arg for arg in argv)]
+        assert run(capsys, *argv, "--phi", phi)[0] == 0
+        # a repeat of the first parameter, an unknown name, and no last parameter
+        for bad in (f"{phi},{phi.split(',')[0]}", f"{phi},zzz=4", phi.rpartition(",")[0]):
+            code, out, err = run(capsys, *argv, "--phi", bad)
+            assert (code, out) == (2, ""), bad
+            assert json.loads(err)["error"]["type"] == "InputError"
+
+
 @pytest.mark.parametrize(
     "command,calls",
     [

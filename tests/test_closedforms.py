@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from weightcell import closedforms
 from weightcell.closedforms import (
+    _bn_extremal_words,
     affine_cone,
     bn_bound,
     dihedral_bound,
@@ -15,7 +17,7 @@ from weightcell.closedforms import (
 )
 from weightcell.cones import HRep, implies, remove_redundant, same_cone
 from weightcell.automata import enumerate_words
-from weightcell.coxeter import CoxeterSystem, ball, group_cell, natural_map
+from weightcell.coxeter import CoxeterSystem, ball, group_cell, lex_word, natural_map
 from weightcell.errors import InputError
 from weightcell.weights import WeightVector, weight_of_word
 
@@ -163,6 +165,22 @@ class TestBSeries:
             assert result.bound == best, (n, a, b)
             if a != 0 and b != 0:
                 assert set(result.cell) == argmax, (n, a, b)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_extremal_words_are_normal_forms(self, n):
+        sys = b_series_system(n)
+        for w in _bn_extremal_words(n):
+            assert lex_word(sys, natural_map(sys, w)) == w, (n, w)
+
+    def test_no_group_arithmetic(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("bn_bound runs no group arithmetic")
+
+        monkeypatch.setattr(closedforms, "lex_word", refuse)
+        monkeypatch.setattr(closedforms, "natural_map", refuse)
+        result = bn_bound(40, 1, -1)
+        # the forms peak at i = 38 and 39: n(n - 1) - (n - 1), twice
+        assert (result.bound, len(result.cell)) == (40 * 39 - 39, 2)
 
 
 class TestF4:
