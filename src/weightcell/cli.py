@@ -14,6 +14,7 @@ import random
 import sys as _sys
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 from . import automata, cones, coxeter, weights
@@ -29,81 +30,90 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+class _Cap(argparse.Action):
+    """`--max-states N` and the like: override one `Caps` field (`const`)."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        namespace.caps = {**namespace.caps, self.const: value}
+
+
+# --format (choices, default): offer only what the command writes
+_REPORT = (("json", "text"), "text")
+_WRITER = (("json", "dot"), "json")
+
+
 def _build_parser() -> _Parser:
+    """Every leaf command declares the options its handler reads and sets
+    `run`, the handler, called as run(args, caps)."""
     parser = _Parser(prog="weightcell", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_caps(p):
-        p.add_argument("--max-states", type=int, default=None)
-        p.add_argument("--max-cycles", type=int, default=None)
-
-    def add_format(p, writer=False):
-        # offer only what the command writes: an automaton as JSON or DOT, a report as text or JSON
-        other = "dot" if writer else "text"
-        p.add_argument("--format", choices=("json", other), default="json" if writer else other)
+    def leaf(parent, name, run, fmt=_REPORT, caps=("states", "cycles"), output=True, file=True, **kwargs):
+        p = parent.add_parser(name, **kwargs)
+        p.set_defaults(run=run, caps={}, output=None)  # no -o: stdout
+        if file:
+            p.add_argument("file")
+        p.add_argument("--format", choices=fmt[0], default=fmt[1])
+        if output:
+            p.add_argument("-o", "--output")
+        for field in caps:
+            p.add_argument(f"--max-{field}", type=int, action=_Cap, const=field, dest="caps", metavar="N")
+        return p
 
     auto = sub.add_parser("automaton", help="inspect and normalize automaton files")
-    auto_sub = auto.add_subparsers(dest="subcommand", required=True)
-    for name in ("info", "min", "enum", "reverse"):
-        p = auto_sub.add_parser(name)
-        p.add_argument("file")
-        add_format(p, writer=name in ("min", "reverse"))
-        p.add_argument("-o", "--output", default=None)
-        add_caps(p)
-        if name == "enum":
-            p.add_argument("--maxlen", type=int, required=True)
-            p.add_argument("--max-words", type=int, default=None)
+    auto = auto.add_subparsers(dest="subcommand", required=True)
+    leaf(auto, "info", _cmd_info, caps=("states",))
+    leaf(auto, "min", _cmd_min, _WRITER, caps=("states",))
+    leaf(auto, "enum", _cmd_enum, caps=("states", "words")).add_argument("--maxlen", type=int, required=True)
+    leaf(auto, "reverse", _cmd_reverse, _WRITER, caps=("states",))
 
-    cone_p = sub.add_parser("cone", help="boundedness cone of an automaton's language")
-    cone_p.add_argument("file")
-    add_format(cone_p)
-    add_caps(cone_p)
-
-    for name in ("bound", "cell"):
-        p = sub.add_parser(name, help=f"{name} of a weight function on an automaton's language")
-        p.add_argument("file")
+    leaf(sub, "cone", _cmd_cone, output=False, help="boundedness cone of an automaton's language")
+    for name, run in (("bound", _cmd_bound), ("cell", partial(_cmd_bound, cell=True))):
+        p = leaf(sub, name, run, output=False, help=f"{name} of a weight function on an automaton's language")
         p.add_argument("--phi", required=True)
-        add_format(p)
-        add_caps(p)
         if name == "cell":
-            p.add_argument("--out-prefix", default=None)
+            p.add_argument("--out-prefix")
 
     cox = sub.add_parser("coxeter", help="pipeline from a Coxeter matrix file")
-    cox_sub = cox.add_subparsers(dest="subcommand", required=True)
-
-    def add_cox_common(p, phi=False, writer=False):
-        p.add_argument("file")
-        p.add_argument("--order", default=None, help="comma-separated generator order")
+    cox = cox.add_subparsers(dest="subcommand", required=True)
+    for name, run, fmt in (
+        ("build", _cmd_build, _WRITER),
+        ("cone", _cmd_coxeter_cone, _REPORT),
+        ("bound", _cmd_group_bound, _REPORT),
+        ("cell", partial(_cmd_group_bound, cell=True), _REPORT),
+        ("probe-spherical", _cmd_probe, (("json", "text"), "json")),
+    ):
+        p = leaf(cox, name, run, fmt, ("states",) if name == "build" else ("states", "cycles"),
+                 output=name != "probe-spherical")
+        p.add_argument("--order", help="comma-separated generator order")
         p.add_argument("--lang", choices=("lex", "reduced"), default="lex")
-        add_format(p, writer)
-        p.add_argument("-o", "--output", default=None)
-        add_caps(p)
-        if phi:
+        if name in ("bound", "cell"):
             p.add_argument("--phi", required=True)
+        if name == "cell":
+            p.add_argument("--out-prefix")
+        if name == "probe-spherical":
+            p.add_argument("--samples", type=int, default=20)
+            p.add_argument("--seed", type=int, default=0)
 
-    add_cox_common(cox_sub.add_parser("build"), writer=True)
-    add_cox_common(cox_sub.add_parser("cone"))
-    add_cox_common(cox_sub.add_parser("bound"), phi=True)
-    cell_p = cox_sub.add_parser("cell")
-    add_cox_common(cell_p, phi=True)
-    cell_p.add_argument("--out-prefix", default=None)
-
-    closed = cox_sub.add_parser("closed-form")
-    closed.add_argument("family", choices=("dihedral", "b", "f4", "nonneg", "bt", "ct", "ft4", "gt2"))
-    closed.add_argument("--phi", required=True, help="parameters, e.g. a=1,b=-1")
-    closed.add_argument("--m", type=int, default=None)
-    closed.add_argument("--n", type=int, default=None)
-    closed.add_argument("--file", default=None, help="Coxeter matrix file (nonneg only)")
-    add_format(closed)
-
-    probe = cox_sub.add_parser("probe-spherical")
-    probe.add_argument("file")
-    probe.add_argument("--order", default=None)
-    probe.add_argument("--lang", choices=("lex", "reduced"), default="lex")
-    probe.add_argument("--samples", type=int, default=20)
-    probe.add_argument("--seed", type=int, default=0)
-    probe.add_argument("--format", choices=("json", "text"), default="json")
-    add_caps(probe)
+    families = cox.add_parser("closed-form").add_subparsers(dest="family", required=True)
+    for name, size, params, run in (
+        ("dihedral", "m", "ab",
+         lambda args, caps: _report_formula(dihedral_bound(args.m, *_parameters(args)), args)),
+        ("b", "n", "ab", lambda args, caps: _report_formula(bn_bound(args.n, *_parameters(args)), args)),
+        ("f4", None, "ab", lambda args, caps: _report_formula(f4_bound(*_parameters(args), caps), args)),
+        ("nonneg", None, None, _cmd_nonneg),  # the generators of --file
+        ("bt", "n", "ab", _cmd_affine),
+        ("ct", "n", "abc", _cmd_affine),
+        ("ft4", None, "ab", _cmd_affine),
+        ("gt2", None, "ab", _cmd_affine),
+    ):
+        p = leaf(families, name, run, caps=(), output=False, file=False)
+        p.set_defaults(params=params and tuple(params), n=None)  # ft4 and gt2 take no rank
+        p.add_argument("--phi", required=True, help="parameters, e.g. a=1,b=-1")
+        if size:
+            p.add_argument(f"--{size}", type=int, required=True)
+        if name == "nonneg":
+            p.add_argument("--file", required=True, help="Coxeter matrix file")
 
     return parser
 
@@ -113,18 +123,6 @@ def _build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 
 
-def _caps(args) -> Caps:
-    base = Caps.from_env()
-    updates = {}
-    if getattr(args, "max_states", None) is not None:
-        updates["states"] = args.max_states
-    if getattr(args, "max_cycles", None) is not None:
-        updates["cycles"] = args.max_cycles
-    if getattr(args, "max_words", None) is not None:
-        updates["words"] = args.max_words
-    return replace(base, **updates)
-
-
 def _read(path: str) -> str:
     try:
         return Path(path).read_text()
@@ -132,34 +130,44 @@ def _read(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
+
+
+def _load_automaton(args, caps: Caps) -> automata.Automaton:
+    return automata.from_json(_read(args.file), caps)
+
+
 def _load_system(args) -> coxeter.CoxeterSystem:
     sys_ = coxeter.system_from_json(_read(args.file))
-    if getattr(args, "order", None):
+    if args.order:
         sys_ = sys_.reorder(tuple(name.strip() for name in args.order.split(",")))
     return sys_
 
 
-def _emit(text: str, output: str | None):
-    if output:
-        Path(output).write_text(text)
+def _emit(text: str, args) -> int:
+    """Write `text` to the -o file, or to stdout; exit code 0."""
+    if args.output:
+        _write(args.output, text)
     else:
         _sys.stdout.write(text)
+    return 0
 
 
 def _dump(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _report(doc, text: str, fmt: str, output: str | None) -> int:
-    """Write `doc` as JSON for the json format, else `text`; exit code 0."""
-    _emit(_dump(doc) if fmt == "json" else text, output)
-    return 0
+def _report(doc, text: str, args) -> int:
+    """Write `doc` as JSON for the json format, else `text`."""
+    return _emit(_dump(doc) if args.format == "json" else text, args)
 
 
 def _write_automaton(a: automata.Automaton, args) -> int:
-    """Write `a` as JSON or DOT; exit code 0."""
-    _emit(automata.to_dot(a) if args.format == "dot" else automata.to_json(a), args.output)
-    return 0
+    return _emit(automata.to_dot(a) if args.format == "dot" else automata.to_json(a), args)
 
 
 # ---------------------------------------------------------------------------
@@ -167,29 +175,35 @@ def _write_automaton(a: automata.Automaton, args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_automaton(args) -> int:
-    caps = _caps(args)
-    a = automata.from_json(_read(args.file), caps)
-    if args.subcommand == "info":
-        trimmed = automata.trim(a)
-        doc = {
-            "alphabet": list(a.alphabet),
-            "states": a.n_states,
-            "transitions": len(a.transitions),
-            "accept_states": len(a.accept),
-            "deterministic": a.deterministic,
-            "useful_states": trimmed.n_states if trimmed.accept else 0,
-            "language_empty": not trimmed.accept,
-        }
-        text = "".join(f"{key}: {value}\n" for key, value in doc.items())
-        return _report(doc, text, args.format, args.output)
-    if args.subcommand == "enum":
-        words = automata.enumerate_words(a, args.maxlen, caps)
-        text = "".join(a.format_word(w) + "\n" for w in words)
-        return _report([list(a.word_names(w)) for w in words], text, args.format, args.output)
-    if args.subcommand == "min":
-        return _write_automaton(automata.minimize(automata.determinize(a, caps)), args)
-    return _write_automaton(automata.reverse(a), args)
+def _cmd_info(args, caps: Caps) -> int:
+    a = _load_automaton(args, caps)
+    trimmed = automata.trim(a)
+    doc = {
+        "alphabet": list(a.alphabet),
+        "states": a.n_states,
+        "transitions": len(a.transitions),
+        "accept_states": len(a.accept),
+        "deterministic": a.deterministic,
+        "useful_states": trimmed.n_states if trimmed.accept else 0,
+        "language_empty": not trimmed.accept,
+    }
+    text = "".join(f"{key}: {value}\n" for key, value in doc.items())
+    return _report(doc, text, args)
+
+
+def _cmd_enum(args, caps: Caps) -> int:
+    a = _load_automaton(args, caps)
+    words = automata.enumerate_words(a, args.maxlen, caps)
+    text = "".join(a.format_word(w) + "\n" for w in words)
+    return _report([list(a.word_names(w)) for w in words], text, args)
+
+
+def _cmd_min(args, caps: Caps) -> int:
+    return _write_automaton(automata.minimize(automata.determinize(_load_automaton(args, caps), caps)), args)
+
+
+def _cmd_reverse(args, caps: Caps) -> int:
+    return _write_automaton(automata.reverse(_load_automaton(args, caps)), args)
 
 
 # ---------------------------------------------------------------------------
@@ -229,15 +243,14 @@ def _cone_text(doc) -> str:
     )
 
 
-def _cmd_cone(args) -> int:
-    caps = _caps(args)
-    doc = _cone_document(automata.from_json(_read(args.file), caps), caps)[0]
-    return _report(doc, _cone_text(doc), args.format, None)
+def _cmd_cone(args, caps: Caps) -> int:
+    doc = _cone_document(_load_automaton(args, caps), caps)[0]
+    return _report(doc, _cone_text(doc), args)
 
 
-def _report_cell(a, result, args, extra=()) -> int:
+def _report_cell(a, result, args, cell: bool, extra=()) -> int:
     """Report the bound and witnesses of `result`, words spelled in `a`'s
-    alphabet.  For `cell`, first write the cell automata and name their
+    alphabet.  For a cell, first write the cell automata and name their
     files.  `extra` items end the JSON document."""
     witnesses = ", ".join(a.format_word(w) or "(empty)" for w in result.witnesses)
     doc = {
@@ -245,32 +258,30 @@ def _report_cell(a, result, args, extra=()) -> int:
         "witnesses": [list(a.word_names(w)) for w in result.witnesses],
     }
     text = f"bound: {result.bound}\nwitnesses: {witnesses}\n"
-    if getattr(args, "subcommand", args.command) == "cell":
+    if cell:
         prefix = args.out_prefix or Path(args.file).stem
         names = {
             "cell_raw": f"{prefix}-cell-raw.json",
             "cell_dfa": f"{prefix}-cell-dfa.json",
             "cell_dfa_dot": f"{prefix}-cell-dfa.dot",
         }
-        Path(names["cell_raw"]).write_text(automata.to_json(result.cell_nfa))
-        Path(names["cell_dfa"]).write_text(automata.to_json(result.cell_dfa))
-        Path(names["cell_dfa_dot"]).write_text(automata.to_dot(result.cell_dfa))
+        _write(names["cell_raw"], automata.to_json(result.cell_nfa))
+        _write(names["cell_dfa"], automata.to_json(result.cell_dfa))
+        _write(names["cell_dfa_dot"], automata.to_dot(result.cell_dfa))
         doc.update(names)
         text += (
             f"cell automaton states: {result.cell_dfa.n_states}\n"
             f"files: {', '.join(names.values())}\n"
         )
     doc.update(extra)
-    return _report(doc, text, args.format, getattr(args, "output", None))
+    return _report(doc, text, args)
 
 
-def _cmd_weight(args) -> int:
-    """`bound` and `cell` of a weight function on an automaton file."""
-    caps = _caps(args)
-    a = automata.from_json(_read(args.file), caps)
+def _cmd_bound(args, caps: Caps, cell: bool = False) -> int:
+    """`bound`, or `cell`, of a weight function on an automaton file."""
+    a = _load_automaton(args, caps)
     phi = weights.parse_weights(args.phi, a.alphabet)
-    compute = weights.cell_automaton if args.command == "cell" else weights.bound
-    return _report_cell(a, compute(a, phi, caps), args)
+    return _report_cell(a, (weights.cell_automaton if cell else weights.bound)(a, phi, caps), args, cell)
 
 
 # ---------------------------------------------------------------------------
@@ -278,77 +289,45 @@ def _cmd_weight(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_coxeter(args) -> int:
-    caps = _caps(args)
-    if args.subcommand == "closed-form":
-        return _cmd_closed_form(args, caps)
+def _cmd_build(args, caps: Caps) -> int:
+    return _write_automaton(coxeter.language_automaton(_load_system(args), args.lang, caps), args)
+
+
+def _cmd_coxeter_cone(args, caps: Caps) -> int:
     sys_ = _load_system(args)
-    if args.subcommand == "build":
-        return _write_automaton(coxeter.language_automaton(sys_, args.lang, caps), args)
-    if args.subcommand == "cone":
-        a = coxeter.language_automaton(sys_, args.lang, caps)
-        letter_doc, raw = _cone_document(a, caps)
-        classes, projected, irred, vrep = _class_cone(sys_, raw, caps)
-        p = {
-            "classes": [[sys_.generators[i] for i in g] for g in classes],
-            "normals": [list(v) for v in irred.normals],
-            "raw_normals": [list(v) for v in projected.normals],
-            "lineality": [list(v) for v in vrep.lineality],
-            "rays": [list(v) for v in vrep.rays],
-        }
-        text = _cone_text(letter_doc) + (
-            f"weight classes: {p['classes']}\n"
-            f"class inequalities: {p['normals']}\n"
-            f"class rays: {p['rays']} lineality: {p['lineality']}\n"
-        )
-        return _report({"letters": letter_doc, "parameters": p}, text, args.format, args.output)
-    if args.subcommand in ("bound", "cell"):
-        phi = weights.parse_weights(args.phi, sys_.generators)
-        result = coxeter.group_cell(sys_, phi, args.lang, caps)
-        # one shortlex word per element, so distinct lex words count X and Y
-        X, Y = (result.circuit_words, result.free_words) if args.lang == "lex" else (result.X, result.Y)
-        return _report_cell(result.cell_dfa, result, args, [("X_size", len(X)), ("Y_size", len(Y))])
-    return _cmd_probe(args, sys_, caps)  # probe-spherical
+    letter_doc, raw = _cone_document(coxeter.language_automaton(sys_, args.lang, caps), caps)
+    classes, projected, irred, vrep = _class_cone(sys_, raw, caps)
+    p = {
+        "classes": [[sys_.generators[i] for i in g] for g in classes],
+        "normals": [list(v) for v in irred.normals],
+        "raw_normals": [list(v) for v in projected.normals],
+        "lineality": [list(v) for v in vrep.lineality],
+        "rays": [list(v) for v in vrep.rays],
+    }
+    text = _cone_text(letter_doc) + (
+        f"weight classes: {p['classes']}\n"
+        f"class inequalities: {p['normals']}\n"
+        f"class rays: {p['rays']} lineality: {p['lineality']}\n"
+    )
+    return _report({"letters": letter_doc, "parameters": p}, text, args)
 
 
-def _cmd_closed_form(args, caps: Caps) -> int:
-    family = args.family
-    if family == "nonneg":
-        if not args.file:
-            raise InputError("closed-form nonneg needs --file with a Coxeter matrix")
-        sys_ = coxeter.system_from_json(_read(args.file))
-        names = sys_.generators
-    else:
-        names = ("a", "b", "c") if family == "ct" else ("a", "b")
-    phi = weights.parse_weights(args.phi, names)
-    if family == "dihedral":
-        if args.m is None:
-            raise InputError("the dihedral family needs --m")
-        result = dihedral_bound(args.m, *phi.values)
-    elif family == "b":
-        if args.n is None:
-            raise InputError("the b family needs --n")
-        result = bn_bound(args.n, *phi.values)
-    elif family == "f4":
-        result = f4_bound(*phi.values, caps)
-    elif family == "nonneg":
-        result = spherical_nonneg(sys_, phi, caps)
-    else:  # affine families
-        spec = affine_cone(family, *phi.values, n=args.n)
-        doc = {
-            "family": spec.family,
-            "rank": spec.rank,
-            "params": [str(v) for v in spec.params],
-            "normals": [list(v) for v in spec.normals],
-            "all_normals": [list(v) for v in spec.all_normals],
-            "rho": None if spec.rho is None else [str(v) for v in spec.rho],
-            "rho_basis": spec.rho_basis,
-        }
-        text = (
-            f"family: {spec.family}\nirredundant inequalities: {doc['normals']}\n"
-            f"all inequalities: {doc['all_normals']}\nrho: {doc['rho']}\n"
-        )
-        return _report(doc, text, args.format, None)
+def _cmd_group_bound(args, caps: Caps, cell: bool = False) -> int:
+    """`coxeter bound`, or `coxeter cell`, of a group weight function."""
+    sys_ = _load_system(args)
+    phi = weights.parse_weights(args.phi, sys_.generators)
+    result = coxeter.group_cell(sys_, phi, args.lang, caps)
+    # one shortlex word per element, so distinct lex words count X and Y
+    X, Y = (result.circuit_words, result.free_words) if args.lang == "lex" else (result.X, result.Y)
+    return _report_cell(result.cell_dfa, result, args, cell, [("X_size", len(X)), ("Y_size", len(Y))])
+
+
+def _parameters(args):
+    """The closed-form family's parameter values, in the order of `args.params`."""
+    return weights.parse_weights(args.phi, args.params).values
+
+
+def _report_formula(result, args) -> int:
     doc = {
         "bound": str(result.bound),
         "cell": None if result.cell is None else list(result.cell_texts()),
@@ -356,12 +335,37 @@ def _cmd_closed_form(args, caps: Caps) -> int:
     cell_text = "(deferred to the generic machinery)" if result.cell is None else ", ".join(
         w or "(empty)" for w in result.cell_texts()
     )
-    return _report(doc, f"bound: {result.bound}\ncell: {cell_text}\n", args.format, None)
+    return _report(doc, f"bound: {result.bound}\ncell: {cell_text}\n", args)
 
 
-def _cmd_probe(args, sys_, caps: Caps) -> int:
+def _cmd_nonneg(args, caps: Caps) -> int:
+    sys_ = coxeter.system_from_json(_read(args.file))
+    phi = weights.parse_weights(args.phi, sys_.generators)
+    return _report_formula(spherical_nonneg(sys_, phi, caps), args)
+
+
+def _cmd_affine(args, caps: Caps) -> int:
+    spec = affine_cone(args.family, *_parameters(args), n=args.n)
+    doc = {
+        "family": spec.family,
+        "rank": spec.rank,
+        "params": [str(v) for v in spec.params],
+        "normals": [list(v) for v in spec.normals],
+        "all_normals": [list(v) for v in spec.all_normals],
+        "rho": None if spec.rho is None else [str(v) for v in spec.rho],
+        "rho_basis": spec.rho_basis,
+    }
+    text = (
+        f"family: {spec.family}\nirredundant inequalities: {doc['normals']}\n"
+        f"all inequalities: {doc['all_normals']}\nrho: {doc['rho']}\n"
+    )
+    return _report(doc, text, args)
+
+
+def _cmd_probe(args, caps: Caps) -> int:
     """Sample bounded weight functions and report whether some witness lies
     in a finite standard parabolic subgroup.  Reports only; asserts nothing."""
+    sys_ = _load_system(args)
     a = coxeter.language_automaton(sys_, args.lang, caps)
     raw = cones.HRep(len(a.alphabet), tuple(weights.boundedness_cone_vectors(a, caps)))
     classes, _, _, vrep = _class_cone(sys_, raw, caps)
@@ -405,7 +409,7 @@ def _cmd_probe(args, sys_, caps: Caps) -> int:
         f"finite-parabolic witness: {sample['some_witness_in_finite_parabolic']}\n"
         for i, sample in enumerate(samples)
     )
-    return _report({"language": args.lang, "samples": samples}, text, args.format, None)
+    return _report({"language": args.lang, "samples": samples}, text, args)
 
 
 # ---------------------------------------------------------------------------
@@ -422,20 +426,11 @@ def _error_doc(exc: WeightcellError) -> dict:
     return doc
 
 
-_COMMANDS = {
-    "automaton": _cmd_automaton,
-    "cone": _cmd_cone,
-    "bound": _cmd_weight,
-    "cell": _cmd_weight,
-    "coxeter": _cmd_coxeter,
-}
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.run(args, replace(Caps.from_env(), **args.caps))
     except (InputError, ResourceLimitError, PreconditionError) as exc:
         _sys.stderr.write(_dump(_error_doc(exc)))
         return exc.exit_code

@@ -57,8 +57,6 @@ __all__ = [
     "longest_element",
     "minimal_roots",
     "natural_map",
-    "reduced_word_automaton",
-    "shortlex_automaton",
     "system_from_json",
     "validate_weight",
     "weight_classes",
@@ -339,14 +337,15 @@ ACTION_NONMINIMAL = -3
 
 @dataclass(frozen=True)
 class MinimalRootTable:
-    """Minimal roots (simple roots first) with the generator action.
+    """Minimal roots (simple roots first), as integer coordinate vectors
+    over Z[2cos(pi/M)], with the generator action.
 
     action[s][r] is the index of the image root (r itself when fixed),
     ACTION_DESCENT when the root is alpha_s, or ACTION_NONMINIMAL when the
     reflection leaves the minimal-root set.
     """
 
-    roots: tuple[tuple[CycloReal, ...], ...]
+    roots: tuple[tuple[IntVec, ...], ...]
     action: tuple[tuple[int, ...], ...]
 
     @property
@@ -405,10 +404,7 @@ def minimal_roots(sys: CoxeterSystem, caps: Caps = Caps()) -> MinimalRootTable:
     table = tuple(
         tuple(action[(s, r)] for r in range(len(roots))) for s in range(n)
     )
-    public = tuple(
-        tuple(CycloReal(M, tuple(Fraction(c) for c in v)) for v in root) for root in roots
-    )
-    return MinimalRootTable(public, table)
+    return MinimalRootTable(tuple(roots), table)
 
 
 # ---------------------------------------------------------------------------
@@ -458,18 +454,16 @@ def _subset_automaton(sys: CoxeterSystem, shortlex: bool, caps: Caps = Caps()) -
 
 
 @lru_cache(maxsize=64)
-def reduced_word_automaton(sys: CoxeterSystem, caps: Caps = Caps()) -> Automaton:
-    """DFA recognising the language of all reduced words (all states accept)."""
-    n, transitions = _subset_automaton(sys, shortlex=False, caps=caps)
-    return Automaton(sys.generators, n, 0, frozenset(range(n)), tuple(transitions))
-
-
-@lru_cache(maxsize=64)
-def shortlex_automaton(sys: CoxeterSystem, caps: Caps = Caps()) -> Automaton:
-    """Minimal DFA of the shortlex normal forms (generator order as declared):
-    the forward minimal-root automaton in shortlex mode, fed straight to the
-    Hopcroft core (it is a trim DFA) without building the raw automaton."""
-    n, transitions = _subset_automaton(sys, shortlex=True, caps=caps)
+def language_automaton(sys: CoxeterSystem, language: str, caps: Caps = Caps()) -> Automaton:
+    """The minimal DFA of the shortlex ("lex") or reduced-word language: the
+    subset automaton, a trim DFA, fed straight to the Hopcroft core.  A
+    finite group's reduced-word automaton is returned as built: each state is
+    one element, and distinct elements have distinct cone types."""
+    if language not in ("lex", "reduced"):
+        raise InputError(f"unknown language {language!r} (expected 'lex' or 'reduced')")
+    n, transitions = _subset_automaton(sys, language == "lex", caps)
+    if language == "reduced" and is_positive_definite(sys, None, caps):
+        return Automaton(sys.generators, n, 0, frozenset(range(n)), tuple(transitions))
     return _minimal(sys.generators, n, 0, range(n), transitions)
 
 
@@ -597,19 +591,6 @@ class GroupCellResult:
     @cached_property
     def Y(self) -> frozenset[GroupElement]:
         return frozenset(natural_map(self.system, w) for w in self.free_words)
-
-
-@lru_cache(maxsize=64)
-def language_automaton(sys: CoxeterSystem, language: str, caps: Caps = Caps()) -> Automaton:
-    """The minimal DFA of the shortlex ("lex") or reduced-word language."""
-    if language == "lex":
-        return shortlex_automaton(sys, caps)
-    if language == "reduced":
-        if is_positive_definite(sys, None, caps):  # finite: no two states merge
-            return reduced_word_automaton(sys, caps)
-        n, transitions = _subset_automaton(sys, shortlex=False, caps=caps)
-        return _minimal(sys.generators, n, 0, range(n), transitions)
-    raise InputError(f"unknown language {language!r} (expected 'lex' or 'reduced')")
 
 
 def group_cell(

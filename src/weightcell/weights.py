@@ -63,10 +63,10 @@ class WeightVector:
     def from_mapping(alphabet, mapping) -> "WeightVector":
         missing = [name for name in alphabet if name not in mapping]
         if missing:
-            raise InputError(f"missing weights for letters: {', '.join(missing)}")
+            raise InputError(f"no value given for: {', '.join(missing)}")
         extra = [name for name in mapping if name not in alphabet]
         if extra:
-            raise InputError(f"weights given for unknown letters: {', '.join(extra)}")
+            raise InputError(f"values given for unknown names: {', '.join(extra)}")
         return WeightVector(tuple(alphabet), tuple(Fraction(mapping[n]) for n in alphabet))
 
     def __getitem__(self, name: str) -> Fraction:
@@ -90,7 +90,7 @@ def assignments(text: str):
     for item in filter(None, (part.strip() for part in text.split(","))):
         name, sep, raw = item.partition("=")
         if not sep:
-            raise InputError(f"bad weight assignment {item!r} (expected letter=value)")
+            raise InputError(f"bad weight assignment {item!r} (expected name=value)")
         try:
             value = Fraction(raw.strip())
         except (ValueError, ZeroDivisionError):
@@ -103,7 +103,7 @@ def parse_weights(text: str, alphabet) -> WeightVector:
     mapping: dict[str, Fraction] = {}
     for name, value in assignments(text):
         if name in mapping:
-            raise InputError(f"duplicate weight for letter {name!r}")
+            raise InputError(f"more than one value for {name!r}")
         mapping[name] = value
     return WeightVector.from_mapping(tuple(alphabet), mapping)
 

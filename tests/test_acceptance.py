@@ -39,9 +39,8 @@ from weightcell.coxeter import (
     group_cell,
     hecke_onedim,
     identity,
-    reduced_word_automaton,
+    language_automaton,
     right_mul,
-    shortlex_automaton,
     weight_classes,
 )
 from weightcell.errors import ResourceLimitError
@@ -140,7 +139,7 @@ def test_a1_infinite_dihedral():
 
 def test_a2_triangle_333():
     sys_ = triangle_system(3, 3, 3)
-    a = shortlex_automaton(sys_)
+    a = language_automaton(sys_, "lex")
     assert a.n_states == 13
     assert to_json(a) == to_json(triangle_333_shortlex_automaton())
     h = cone_from_circuits(simple_cycles(a), a.alphabet)
@@ -166,7 +165,7 @@ def test_a2_triangle_333():
 
 def test_a3_triangle_246():
     sys_ = triangle_system(2, 4, 6)
-    a = shortlex_automaton(sys_)
+    a = language_automaton(sys_, "lex")
     assert a.n_states == 13
     reference = minimize(determinize(triangle_246_shortlex_automaton()))
     assert to_json(a) == to_json(reference)
@@ -221,7 +220,7 @@ def test_a3_triangle_246():
 @pytest.mark.parametrize("m", [3, 4, 5])
 def test_a4_triangle_23_2m(m):
     sys_ = triangle_system(2, 3, 2 * m)
-    a = shortlex_automaton(sys_)
+    a = language_automaton(sys_, "lex")
     assert a.n_states == 2 * m + 6
 
     classes = weight_classes(sys_)
@@ -285,7 +284,7 @@ def test_a6_affine_cones():
         ("Gt2", triangle_system(2, 3, 6), affine_cone("Gt2", 1, 1)),
     ]
     for name, sys_, spec in cases:
-        a = shortlex_automaton(sys_)
+        a = language_automaton(sys_, "lex")
         classes = weight_classes(sys_)
         raw = cone_from_circuits(simple_cycles(a), a.alphabet)
         generic = remove_redundant(
@@ -295,7 +294,7 @@ def test_a6_affine_cones():
         assert same_cone(generic, closed), name
     try:
         sys_ = affine_f4_system()
-        a = shortlex_automaton(sys_, caps=Caps(states=200_000))
+        a = language_automaton(sys_, "lex", Caps(states=200_000))
         classes = weight_classes(sys_)
         raw = cone_from_circuits(simple_cycles(a, caps=Caps(cycles=200_000)), a.alphabet)
         generic = remove_redundant(
@@ -311,7 +310,7 @@ def test_a6_affine_cones():
 
 @pytest.mark.parametrize("name,sys_", SIX_SYSTEMS)
 def test_a7_weight_engine_oracles(name, sys_):
-    a = shortlex_automaton(sys_)
+    a = language_automaton(sys_, "lex")
     d = prepared(a)
     maxlen = 2 * d.n_states
     by_counts: dict[tuple, list] = {}
@@ -351,7 +350,7 @@ def test_a8_coxeter_oracles(name, sys_):
     radius = 8
     elements = ball(sys_, radius)
     lex_words = sorted(elements.values(), key=shortlex_key)
-    assert enumerate_words(shortlex_automaton(sys_), radius) == lex_words
+    assert enumerate_words(language_automaton(sys_, "lex"), radius) == lex_words
 
     lengths = {g: len(w) for g, w in elements.items()}
     reduced = []
@@ -366,7 +365,7 @@ def test_a8_coxeter_oracles(name, sys_):
                 rec(h, word + (s,))
 
     rec(identity(sys_), ())
-    assert enumerate_words(reduced_word_automaton(sys_), radius) == sorted(
+    assert enumerate_words(language_automaton(sys_, "reduced"), radius) == sorted(
         reduced, key=shortlex_key
     )
     report(f"[A8] language oracle on {name}: reduced words and shortlex normal forms")

@@ -1,16 +1,25 @@
 """End-to-end CLI tests: exit codes, JSON error contract, determinism."""
 
+import argparse
+import io
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import weightcell
 from weightcell.automata import equivalent, from_json, to_json
-from weightcell.cli import main
+from weightcell.cli import _build_parser, main
 
 from conftest import (
     dihedral_reduced_words_automaton,
@@ -454,11 +463,66 @@ class TestOptionContract:
         b3.write_text(json.dumps({"generators": ["s0", "s1", "s2"], "matrix": matrix}))
         argv = ["coxeter", "closed-form", family, *(str(b3) if arg == "B3" else arg for arg in argv)]
         assert run(capsys, *argv, "--phi", phi)[0] == 0
-        # a repeat of the first parameter, an unknown name, and no last parameter
-        for bad in (f"{phi},{phi.split(',')[0]}", f"{phi},zzz=4", phi.rpartition(",")[0]):
+        # a repeat of the first parameter, an unknown name, and no last parameter;
+        # the message names the parameter and does not call it a letter
+        first, last = phi.split(",")[0], phi.split(",")[-1]
+        for bad, name in (
+            (f"{phi},{first}", first.partition("=")[0]),
+            (f"{phi},zzz=4", "zzz"),
+            (phi.rpartition(",")[0], last.partition("=")[0]),
+        ):
             code, out, err = run(capsys, *argv, "--phi", bad)
             assert (code, out) == (2, ""), bad
-            assert json.loads(err)["error"]["type"] == "InputError"
+            error = json.loads(err)["error"]
+            assert error["type"] == "InputError"
+            assert re.search(rf"\b{name}\b", error["message"]) and "letter" not in error["message"], error
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["f4", "--phi", "a=1,b=-1", "--n", "7", "--m", "3", "--file", "/nonexistent.json"],
+            ["ft4", "--phi", "a=1,b=-1", "--m", "9"],
+            ["dihedral", "--m", "3", "--n", "40", "--phi", "a=1,b=-1"],
+        ],
+        ids=["f4", "ft4", "dihedral"],
+    )
+    def test_closed_form_option_the_family_does_not_read_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, "coxeter", "closed-form", *argv)
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert (error["code"], error["type"]) == (2, "InputError")
+        assert "unrecognized arguments" in error["message"]
+
+    @pytest.mark.parametrize(
+        "family,option,phi",
+        [
+            ("dihedral", "--m", "a=1,b=-1"),
+            ("b", "--n", "a=1,b=-1"),
+            ("bt", "--n", "a=1,b=-1"),
+            ("ct", "--n", "a=1,b=-1,c=2"),
+            ("nonneg", "--file", "s0=1,s1=1,s2=1"),
+        ],
+    )
+    def test_closed_form_required_option_exit_2(self, capsys, family, option, phi):
+        code, out, err = run(capsys, "coxeter", "closed-form", family, "--phi", phi)
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "InputError" and option in error["message"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["automaton", "info", "FILE", "-o", "MISSING/x"],
+            ["cell", "FILE", "--phi", "s=1,t=-1", "--out-prefix", "MISSING/x"],
+        ],
+        ids=["output", "out-prefix"],
+    )
+    def test_unwritable_output_exit_2(self, capsys, tmp_path, dihedral_file, argv):
+        files = {"FILE": dihedral_file, "MISSING/x": str(tmp_path / "missing" / "x")}
+        code, out, err = run(capsys, *[files.get(arg, arg) for arg in argv])
+        assert (code, out) == (2, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "InputError" and error["message"].startswith("cannot write")
 
 
 @pytest.mark.parametrize(
@@ -494,3 +558,158 @@ def test_cli_import_leaves_mpmath_unloaded():
     code = "import sys, weightcell.cli; print('mpmath' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# The exit-code contract over every leaf command
+# ---------------------------------------------------------------------------
+
+NAMES = ("s", "t", "u", "a", "b", "c")
+JUNK = st.sampled_from([None, -1, 0, 2.5, True, "x", "", [], {}, [1, "s"], [[0, "s"]], 10**12])
+
+
+def _leaf_parsers(parser, path=()):
+    """(command path, parser) of every leaf of the CLI's parser tree."""
+    subs = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from _leaf_parsers(sub, path + (name,))
+
+
+LEAVES = sorted(_leaf_parsers(_build_parser()), key=lambda leaf: leaf[0])
+
+
+def _rarely(draw, good, bad):
+    """`good` about nine times in ten, else `bad`, so that most drawn inputs
+    are valid.  (Hypothesis favours the ends of a range, hence the 5.)"""
+    return bad if draw(st.integers(0, 9)) == 5 else good
+
+
+@st.composite
+def _mutated(draw, doc):
+    """`doc`, or a copy with one field replaced or dropped, or no object at all."""
+    choice = draw(st.integers(0, 19))
+    if choice == 5:
+        key = draw(st.sampled_from(sorted(doc)))
+        return {**doc, key: draw(JUNK)}
+    if choice == 6:
+        key = draw(st.sampled_from(sorted(doc)))
+        return {k: v for k, v in doc.items() if k != key}
+    if choice == 7:
+        return draw(JUNK)
+    return doc
+
+
+@st.composite
+def automaton_docs(draw):
+    alphabet = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=3, unique=True))
+    n = draw(st.integers(1, 5))
+    state = st.integers(0, n - 1)
+    transition = st.tuples(state, st.sampled_from(alphabet), state).map(list)
+    doc = {
+        "alphabet": alphabet,
+        "states": n,
+        "start": draw(state),
+        "accept": draw(st.lists(state, max_size=n, unique=True)),
+        "transitions": draw(st.lists(transition, max_size=10)),
+        "deterministic": draw(st.booleans()),
+    }
+    return draw(_mutated(doc))
+
+
+@st.composite
+def coxeter_docs(draw):
+    rank = draw(st.integers(1, 4))
+    names = draw(st.lists(st.sampled_from(NAMES), min_size=rank, max_size=rank, unique=True))
+    matrix = [[1] * rank for _ in range(rank)]
+    for i, j in itertools.combinations(range(rank), 2):
+        matrix[i][j] = matrix[j][i] = draw(st.sampled_from([0, 2, 2, 3, 3, 4, 6]))
+    if rank > 1 and draw(st.integers(0, 9)) == 5:  # an entry that breaks the matrix
+        matrix[0][1] = draw(st.sampled_from([1, -3, 2.5, True, "3", None]))
+    return draw(_mutated({"generators": names, "matrix": matrix}))
+
+
+def _names(doc):
+    try:
+        return [str(name) for name in doc.get("generators") or doc.get("alphabet")]
+    except (AttributeError, TypeError):
+        return list(NAMES[:3])
+
+
+def _phi(draw, names):
+    bad = draw(st.sampled_from([[*names, "zzz"], names[:-1], [*names, names[0]], ["a", "b", "c"], ["a", "b"]]))
+    values = st.sampled_from(["-2", "-1", "-1", "0", "1", "1", "2", "1/2"])
+    return ",".join(f"{name}={_rarely(draw, draw(values), 'x')}" for name in _rarely(draw, names, bad))
+
+
+def _option_value(draw, option, action, tmp, path, names):
+    """A small, sometimes malformed, value for one option of a leaf."""
+    if option in ("file", "--file"):
+        return str(path)
+    if option == "--phi":
+        return _phi(draw, names)
+    if option in ("--output", "--out-prefix"):
+        return str(tmp / _rarely(draw, "out", "missing/out"))
+    if option == "--order":
+        return _rarely(draw, ",".join(draw(st.permutations(names))), "s,,zzz")
+    if action.choices:
+        return _rarely(draw, draw(st.sampled_from(action.choices)), "xml")
+    ranges = {"--maxlen": (0, 4), "--m": (1, 10), "--n": (1, 6), "--samples": (0, 2), "--seed": (0, 9)}
+    low, high = ranges.get(option, (1, 300))  # the --max-* caps
+    return str(_rarely(draw, draw(st.integers(low, high)), low - 1))
+
+
+SMALL_CAPS = "states=300,cycles=300,rays=300,words=500,elements=500,roots=40"
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_every_leaf_ends_in_a_result_or_a_json_error(data):
+    # any drawn input exits 0, or 2, 3 or 4 with the JSON error document on
+    # stderr; any other exception fails the test
+    path, parser = data.draw(st.sampled_from(LEAVES), label="leaf")
+    coxeter_input = path[0] == "coxeter"
+    doc = data.draw(coxeter_docs() if coxeter_input else automaton_docs(), label="document")
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        file = tmp / "input.json"
+        file.write_text(json.dumps(doc))
+        argv = list(path)
+        for action in parser._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            option = action.option_strings[-1] if action.option_strings else action.dest
+            if _rarely(data.draw, not action.required, action.required) and data.draw(st.booleans()):
+                continue
+            names = parser.get_default("params") or _names(doc)  # a closed form's parameters
+            value = _option_value(data.draw, option, action, tmp, file, list(names))
+            argv += [value] if not action.option_strings else [option, value]
+        out, err = io.StringIO(), io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(tmp)  # `cell` without --out-prefix writes next to the input's name
+        try:
+            with mock.patch.dict(os.environ, {"WEIGHTCELL_CAPS": SMALL_CAPS}):
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = main(argv)
+        finally:
+            os.chdir(cwd)
+    event(f"exit {code}")
+    assert code in (0, 2, 3, 4), argv
+    if code:
+        assert out.getvalue() == "", argv
+        assert json.loads(err.getvalue())["error"]["code"] == code, argv
+    else:
+        assert err.getvalue() == "", argv
+
+
+def test_the_contract_test_reaches_every_leaf():
+    assert [" ".join(path) for path, _ in LEAVES] == sorted(
+        [
+            "automaton enum", "automaton info", "automaton min", "automaton reverse",
+            "bound", "cell", "cone",
+            "coxeter bound", "coxeter build", "coxeter cell", "coxeter cone", "coxeter probe-spherical",
+            *(f"coxeter closed-form {family}" for family in ("b", "bt", "ct", "dihedral", "f4", "ft4", "gt2", "nonneg")),
+        ]
+    )

@@ -37,13 +37,12 @@ from weightcell.coxeter import (
     field_modulus,
     natural_map,
     parabolic_elements,
-    reduced_word_automaton,
     right_mul,
-    shortlex_automaton,
     system_from_json,
     validate_weight,
     weight_classes,
 )
+import weightcell.coxeter as coxeter_module
 from weightcell.cyclo import CycloReal
 from weightcell.errors import InputError, ResourceLimitError, UnboundedError
 from weightcell.limits import Caps
@@ -122,6 +121,18 @@ def reduced_words_oracle(sys, radius):
     return sorted(out, key=shortlex_key)
 
 
+def subset_dfa(sys, shortlex):
+    """The Brink-Howlett subset automaton as built, before minimization."""
+    n, transitions = _subset_automaton(sys, shortlex)
+    return Automaton(sys.generators, n, 0, frozenset(range(n)), tuple(transitions))
+
+
+def cyclo_roots(sys, table):
+    """The minimal roots of `table` as vectors of field elements."""
+    M = field_modulus(sys)
+    return [tuple(CycloReal(M, tuple(Fraction(c) for c in v)) for v in root) for root in table.roots]
+
+
 def reversed_shortlex_reference(sys):
     """The shortlex DFA by the earlier construction: a subset automaton of
     the reversed language (reading s needs alpha_s outside the set, and no
@@ -196,14 +207,14 @@ class TestMinimalRoots:
         sys = dihedral_system(m)
         table = minimal_roots(sys)
         assert table.n_roots == m
-        assert set(table.roots) == positive_roots_of_finite_system(sys)
+        assert set(cyclo_roots(sys, table)) == positive_roots_of_finite_system(sys)
 
     def test_b2(self):
         assert minimal_roots(dihedral_system(4)).n_roots == 4
 
     def test_all_minimal_roots_are_positive(self, sys_246):
         table = minimal_roots(sys_246)
-        for root in table.roots:
+        for root in cyclo_roots(sys_246, table):
             assert all(c.sign() >= 0 for c in root)
             assert any(c.sign() > 0 for c in root)
 
@@ -245,7 +256,7 @@ class TestGroupArithmetic:
         b = ball(sys, 0)
         assert list(b.values()) == [()]
         b6 = ball(sys, 6)
-        a = shortlex_automaton(sys)
+        a = language_automaton(sys, "lex")
         words = enumerate_words(a, 6)
         assert sorted(b6.values(), key=shortlex_key) == words
 
@@ -367,27 +378,27 @@ class TestAutomata:
     def test_infinite_dihedral_reduced(self, ex_dihedral):
         from weightcell.automata import minimize
 
-        dfa = minimize(reduced_word_automaton(dihedral_system(0)))
+        dfa = minimize(subset_dfa(dihedral_system(0), shortlex=False))
         assert equivalent(dfa, ex_dihedral)
         assert dfa.n_states == 3
 
     def test_a2_reduced_words(self):
         sys = dihedral_system(3)
-        words = enumerate_words(reduced_word_automaton(sys), 3)
+        words = enumerate_words(subset_dfa(sys, shortlex=False), 3)
         # 6 elements, 7 reduced words: the longest element has two
         assert len(words) == 7
         texts = {"".join("st"[i] for i in w) for w in words}
         assert texts == {"", "s", "t", "st", "ts", "sts", "tst"}
 
     def test_shortlex_333_matches_reference(self, fig_333, sys_333):
-        built = shortlex_automaton(sys_333)
+        built = language_automaton(sys_333, "lex")
         assert built.n_states == 13
         assert to_json(built) == to_json(fig_333)
 
     def test_shortlex_246_matches_reference(self, fig_246, sys_246):
         from weightcell.automata import determinize, minimize
 
-        built = shortlex_automaton(sys_246)
+        built = language_automaton(sys_246, "lex")
         assert built.n_states == 13
         canonical_reference = minimize(determinize(fig_246))
         assert to_json(built) == to_json(canonical_reference)
@@ -396,16 +407,16 @@ class TestAutomata:
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_shortlex_232m_state_count(self, m):
         sys = triangle_system(2, 3, 2 * m)
-        assert shortlex_automaton(sys).n_states == 2 * m + 6
+        assert language_automaton(sys, "lex").n_states == 2 * m + 6
 
     @pytest.mark.parametrize("name,sys", six_test_systems())
     def test_language_oracles(self, name, sys):
         radius = 6
         b = ball(sys, radius)
         lex_words = sorted(b.values(), key=shortlex_key)
-        assert enumerate_words(shortlex_automaton(sys), radius) == lex_words
+        assert enumerate_words(language_automaton(sys, "lex"), radius) == lex_words
         assert (
-            enumerate_words(reduced_word_automaton(sys), radius)
+            enumerate_words(subset_dfa(sys, shortlex=False), radius)
             == reduced_words_oracle(sys, radius)
         )
 
@@ -417,15 +428,15 @@ class TestAutomata:
         radius = 4
         lex_words = sorted(ball(sys, radius).values(), key=shortlex_key)
         reduced_words = reduced_words_oracle(sys, radius)
-        assert enumerate_words(shortlex_automaton(sys), radius) == lex_words
-        assert enumerate_words(reduced_word_automaton(sys), radius) == reduced_words
-        assert enumerate_words(language_automaton(sys, "reduced"), radius) == reduced_words
-        assert to_json(shortlex_automaton(sys)) == to_json(reversed_shortlex_reference(sys))
+        for shortlex, words in ((True, lex_words), (False, reduced_words)):
+            assert enumerate_words(subset_dfa(sys, shortlex), radius) == words
+            assert enumerate_words(language_automaton(sys, "lex" if shortlex else "reduced"), radius) == words
+        assert to_json(language_automaton(sys, "lex")) == to_json(reversed_shortlex_reference(sys))
 
     @pytest.mark.parametrize("name", sorted(BENCHMARK_SYSTEMS))
     def test_shortlex_matches_reversed_construction(self, name):
         sys = BENCHMARK_SYSTEMS[name]
-        assert to_json(shortlex_automaton(sys)) == to_json(reversed_shortlex_reference(sys))
+        assert to_json(language_automaton(sys, "lex")) == to_json(reversed_shortlex_reference(sys))
 
     @pytest.mark.parametrize("name,states", [("H4", 5_643), ("F4t", 12_268), ("D5t", 45_134)])
     def test_forward_shortlex_state_counts(self, name, states):
@@ -436,9 +447,9 @@ class TestAutomata:
 
     def test_forward_shortlex_state_cap(self):
         sys = BENCHMARK_SYSTEMS["D5t"]
-        assert shortlex_automaton(sys, Caps(states=46_000)).n_states == 141
+        assert language_automaton(sys, "lex", Caps(states=46_000)).n_states == 141
         with pytest.raises(ResourceLimitError) as exc:
-            shortlex_automaton(sys, Caps(states=45_000))
+            language_automaton(sys, "lex", Caps(states=45_000))
         assert (exc.value.what, exc.value.cap) == ("automaton states", 45_000)
 
     @pytest.mark.parametrize("language", ["lex", "reduced"])
@@ -446,17 +457,21 @@ class TestAutomata:
     def test_direct_build_matches_minimize(self, name, language):
         # the builders feed explore's triples straight to the Hopcroft core
         sys = BENCHMARK_SYSTEMS[name]
-        n, transitions = _subset_automaton(sys, shortlex=language == "lex")
-        raw = Automaton(sys.generators, n, 0, frozenset(range(n)), tuple(transitions))
+        raw = subset_dfa(sys, shortlex=language == "lex")
         assert to_json(language_automaton(sys, language)) == to_json(minimize(raw))
 
     @pytest.mark.parametrize("name", ["H4", "F4", "B4", "B5", "I2_12"])
-    def test_finite_reduced_automaton_is_minimal(self, name):
+    def test_finite_reduced_automaton_is_minimal(self, name, monkeypatch):
         # one state per element, and distinct elements have distinct cone types
         sys = BENCHMARK_SYSTEMS[name]
-        raw = reduced_word_automaton(sys, Caps())
+        raw = subset_dfa(sys, shortlex=False)
         assert to_json(minimize(raw)) == to_json(raw)
-        assert language_automaton(sys, "reduced") is raw  # minimize skipped
+
+        def no_minimize(*args):
+            raise AssertionError("a finite group's reduced words were minimized")
+
+        monkeypatch.setattr(coxeter_module, "_minimal", no_minimize)
+        assert to_json(language_automaton.__wrapped__(sys, "reduced")) == to_json(raw)
 
     def test_finite_reduced_state_cap(self):
         with pytest.raises(ResourceLimitError) as exc:
@@ -468,14 +483,14 @@ class TestAutomata:
         assert language_automaton(sys, "reduced") is language_automaton(sys, "reduced")
 
     def test_lex_language_prefix_closed(self, sys_246):
-        a = shortlex_automaton(sys_246)
+        a = language_automaton(sys_246, "lex")
         words = set(enumerate_words(a, 8))
         for w in words:
             assert w[:-1] in words or not w
 
     def test_word_counts_match_ball_growth(self):
         sys = triangle_system(2, 3, 6)
-        a = shortlex_automaton(sys)
+        a = language_automaton(sys, "lex")
         words = enumerate_words(a, 8)
         by_len = {}
         for w in words:
@@ -522,7 +537,7 @@ class TestGroupCell:
     def test_246_intro(self, sys_246):
         result = group_cell(sys_246, {"s": 1, "t": 2, "u": -5})
         assert result.bound == 6
-        a = shortlex_automaton(sys_246)
+        a = language_automaton(sys_246, "lex")
         from weightcell.automata import Automaton
 
         target = Automaton(
@@ -538,7 +553,7 @@ class TestGroupCell:
     def test_246_phi3_witnesses(self, sys_246):
         result = group_cell(sys_246, {"s": -1, "t": 1, "u": -1})
         assert result.bound == 1
-        a = shortlex_automaton(sys_246)
+        a = language_automaton(sys_246, "lex")
         witness_texts = {a.format_word(w) for w in result.witnesses}
         # "tutst" belongs here: the exhaustive check below shows it is the
         # unique reduced word of its element (hence its shortlex normal
@@ -550,7 +565,7 @@ class TestGroupCell:
     def test_tutst_is_the_unique_word_of_its_element(self, sys_246):
         from itertools import product
 
-        a = shortlex_automaton(sys_246)
+        a = language_automaton(sys_246, "lex")
         g = natural_map(sys_246, a.word("tutst"))
         matches = [
             cand
@@ -563,7 +578,7 @@ class TestGroupCell:
     def test_zero_weight_cell_is_everything(self, sys_246):
         result = group_cell(sys_246, {"s": 0, "t": 0, "u": 0})
         assert result.bound == 0
-        assert equivalent(result.cell_dfa, shortlex_automaton(sys_246))
+        assert equivalent(result.cell_dfa, language_automaton(sys_246, "lex"))
 
     def test_invalid_weight_rejected(self, sys_333):
         with pytest.raises(InputError):
@@ -641,7 +656,7 @@ class TestGroupCell:
         # the circuits with letter counts (1, 3, 3) weigh 0, so the cell is
         # infinite: its DFA accepts words longer than every witness
         sys = triangle_system(2, 3, 8)
-        a = shortlex_automaton(sys)
+        a = language_automaton(sys, "lex")
         phi = WeightVector(sys.generators, (-3, -3, 4))
         assert (1, 3, 3) in is_bounded(a, phi).inequalities
         result = group_cell(sys, phi)
