@@ -632,10 +632,12 @@ def coxeter_docs(draw):
 
 
 def _names(doc):
+    """The document's letters or generators, for --phi and --order."""
     try:
-        return [str(name) for name in doc.get("generators") or doc.get("alphabet")]
+        names = [str(name) for name in doc.get("generators") or doc.get("alphabet")]
     except (AttributeError, TypeError):
-        return list(NAMES[:3])
+        names = []
+    return names or list(NAMES[:3])
 
 
 def _phi(draw, names):
