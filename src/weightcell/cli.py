@@ -108,7 +108,7 @@ def _build_parser() -> _Parser:
         ("gt2", None, "ab", _cmd_affine),
     ):
         p = leaf(families, name, run, caps=(), output=False, file=False)
-        p.set_defaults(params=params and tuple(params), n=None)  # ft4 and gt2 take no rank
+        p.set_defaults(params=params, n=None)  # ft4 and gt2 take no rank
         p.add_argument("--phi", required=True, help="parameters, e.g. a=1,b=-1")
         if size:
             p.add_argument(f"--{size}", type=int, required=True)
@@ -323,7 +323,8 @@ def _cmd_group_bound(args, caps: Caps, cell: bool = False) -> int:
 
 
 def _parameters(args):
-    """The closed-form family's parameter values, in the order of `args.params`."""
+    """The closed-form family's parameter values, in the order of `args.params`
+    (its parameter names as one string, such as "abc")."""
     return weights.parse_weights(args.phi, args.params).values
 
 
