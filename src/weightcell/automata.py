@@ -16,11 +16,10 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, Record, ResourceLimitError
 from .limits import Caps
 
 Word = tuple[int, ...]
@@ -42,8 +41,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Automaton:
+class Automaton(Record):
     """Immutable automaton over an ordered alphabet of letter names.
 
     transitions are (source, letter_index, target) triples, kept sorted.
@@ -55,21 +53,21 @@ class Automaton:
     accept: frozenset[int]
     transitions: tuple[tuple[int, int, int], ...]
 
-    def __post_init__(self):
-        if len(set(self.alphabet)) != len(self.alphabet):
+    def __init__(self, alphabet, n_states, start, accept, transitions):
+        if len(set(alphabet)) != len(alphabet):
             raise InputError("alphabet letters must be distinct")
-        if not (0 <= self.start < self.n_states):
+        if not (0 <= start < n_states):
             raise InputError("start state out of range")
-        for q in self.accept:
-            if not (0 <= q < self.n_states):
+        for q in accept:
+            if not (0 <= q < n_states):
                 raise InputError("accept state out of range")
-        for src, letter, dst in self.transitions:
-            if not (0 <= src < self.n_states and 0 <= dst < self.n_states):
+        for src, letter, dst in transitions:
+            if not (0 <= src < n_states and 0 <= dst < n_states):
                 raise InputError("transition endpoint out of range")
-            if not (0 <= letter < len(self.alphabet)):
+            if not (0 <= letter < len(alphabet)):
                 raise InputError("transition letter out of range")
-        object.__setattr__(self, "transitions", tuple(sorted(set(self.transitions))))
-        object.__setattr__(self, "accept", frozenset(self.accept))
+        accept, transitions = frozenset(accept), tuple(sorted(set(transitions)))
+        self._init(alphabet=alphabet, n_states=n_states, start=start, accept=accept, transitions=transitions)
 
     @property
     def deterministic(self) -> bool:

@@ -12,7 +12,6 @@ import argparse
 import json
 import random
 import sys as _sys
-from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -431,7 +430,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.run(args, replace(Caps.from_env(), **args.caps))
+        return args.run(args, Caps(**{**vars(Caps.from_env()), **args.caps}))
     except (InputError, ResourceLimitError, PreconditionError) as exc:
         _sys.stderr.write(_dump(_error_doc(exc)))
         return exc.exit_code

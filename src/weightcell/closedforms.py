@@ -12,7 +12,6 @@ automaton pipeline certifies them in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -27,7 +26,7 @@ from .coxeter import (
     parabolic_elements,
     right_mul,
 )
-from .errors import InputError
+from .errors import InputError, Record
 from .limits import Caps
 from .weights import WeightVector, weight_of_word
 
@@ -42,8 +41,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SphericalFormulaResult:
+class SphericalFormulaResult(Record):
     """Bound plus the bound-attaining cell as shortlex normal forms.
 
     `cell` is None when the formula leaves the cell to the generic
@@ -52,6 +50,9 @@ class SphericalFormulaResult:
     alphabet: tuple[str, ...]
     bound: Fraction
     cell: tuple[Word, ...] | None
+
+    def __init__(self, alphabet, bound, cell):
+        self._init(alphabet=alphabet, bound=bound, cell=cell)
 
     def cell_texts(self) -> tuple[str, ...] | None:
         if self.cell is None:
@@ -286,8 +287,7 @@ def f4_bound(a, b, caps: Caps = Caps()) -> SphericalFormulaResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AffineConeSpec:
+class AffineConeSpec(Record):
     """Boundedness cone of an affine family in its weight parameters.
 
     `normals` is the irredundant pair; `all_normals` the full list coming
@@ -303,6 +303,12 @@ class AffineConeSpec:
     all_normals: tuple[tuple[int, ...], ...]
     rho: tuple[Fraction, ...] | None
     rho_basis: str | None
+
+    def __init__(self, family, rank, params, normals, all_normals, rho, rho_basis):
+        self._init(
+            family=family, rank=rank, params=params, normals=normals, all_normals=all_normals, rho=rho,
+            rho_basis=rho_basis,
+        )
 
 
 def affine_cone(family: str, a, b, c=None, n: int | None = None) -> AffineConeSpec:

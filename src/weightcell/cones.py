@@ -10,11 +10,10 @@ scope are small (alphabet-sized).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclo import primitive_vector
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, Record, ResourceLimitError
 from .limits import Caps
 from .weights import distinct_count_vectors
 
@@ -33,30 +32,30 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HRep:
+class HRep(Record):
     """Intersection of half-spaces <n, x> <= 0, n primitive integer."""
 
     dim: int
     normals: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        for n in self.normals:
-            if len(n) != self.dim:
+    def __init__(self, dim, normals):
+        for n in normals:
+            if len(n) != dim:
                 raise InputError("normal has wrong dimension")
             if not any(n):
                 raise InputError("zero vector is not a valid inequality normal")
-        distinct = dict.fromkeys(map(primitive_vector, self.normals))
-        object.__setattr__(self, "normals", tuple(distinct))
+        self._init(dim=dim, normals=tuple(dict.fromkeys(map(primitive_vector, normals))))
 
 
-@dataclass(frozen=True)
-class VRep:
+class VRep(Record):
     """span(lineality) + cone(rays); rays are extreme modulo the lineality."""
 
     dim: int
     lineality: tuple[tuple[int, ...], ...]
     rays: tuple[tuple[int, ...], ...]
+
+    def __init__(self, dim, lineality, rays):
+        self._init(dim=dim, lineality=lineality, rays=rays)
 
 
 def cone_from_circuits(cycles, alphabet) -> HRep:

@@ -17,7 +17,6 @@ of `automata`; a finite group's reduced-word automaton is already minimal.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
@@ -31,7 +30,7 @@ from .cyclo import (
     int_sign,
     minimal_polynomial_of_2cos,
 )
-from .errors import InputError, ResourceLimitError, UnboundedError
+from .errors import InputError, Record, ResourceLimitError, UnboundedError
 from .limits import Caps
 from .weights import (
     WeightVector,
@@ -68,30 +67,28 @@ INFINITE = 0  # JSON/bond encoding of an infinite label
 _SYSTEMS_CACHED = 256
 
 
-@dataclass(frozen=True)
-class CoxeterSystem:
+class CoxeterSystem(Record):
     """Generators plus the symmetric bond matrix (0 encodes infinity)."""
 
     generators: tuple[str, ...]
     matrix: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        n = len(self.generators)
-        if len(set(self.generators)) != n or n == 0:
+    def __init__(self, generators, matrix):
+        n = len(generators)
+        if len(set(generators)) != n or n == 0:
             raise InputError("generator names must be distinct and nonempty")
-        if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
+        if len(matrix) != n or any(len(row) != n for row in matrix):
             raise InputError("Coxeter matrix must be square of generator size")
         for i in range(n):
-            if self.matrix[i][i] != 1:
+            if matrix[i][i] != 1:
                 raise InputError("Coxeter matrix diagonal must be 1")
             for j in range(n):
-                m = self.matrix[i][j]
-                if m != self.matrix[j][i]:
+                m = matrix[i][j]
+                if m != matrix[j][i]:
                     raise InputError("Coxeter matrix must be symmetric")
                 if i != j and m != INFINITE and m < 2:
                     raise InputError("off-diagonal bond labels must be >= 2 or 0 (infinity)")
-        object.__setattr__(self, "matrix", tuple(tuple(row) for row in self.matrix))
-        object.__setattr__(self, "generators", tuple(self.generators))
+        self._init(generators=tuple(generators), matrix=tuple(tuple(row) for row in matrix))
 
     @property
     def rank(self) -> int:
@@ -202,8 +199,7 @@ def _reflect(plan, s: int, vec) -> IntVec:
 # Group elements
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class GroupElement:
+class GroupElement(Record):
     """Exact matrix of the geometric representation, with its inverse kept
     so descent tests on both sides stay cheap.  Entries are integer
     coefficient vectors over Z[2cos(pi/M)]; the hash is computed once."""
@@ -211,10 +207,9 @@ class GroupElement:
     system: CoxeterSystem
     mat: IntMatrix
     inv: IntMatrix
-    _hash: int = field(init=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(self.mat))
+    def __init__(self, system, mat, inv):
+        self._init(system=system, mat=mat, inv=inv, _hash=hash(mat))
 
     def __eq__(self, other):
         return (
@@ -335,8 +330,7 @@ ACTION_DESCENT = -1
 ACTION_NONMINIMAL = -3
 
 
-@dataclass(frozen=True)
-class MinimalRootTable:
+class MinimalRootTable(Record):
     """Minimal roots (simple roots first), as integer coordinate vectors
     over Z[2cos(pi/M)], with the generator action.
 
@@ -347,6 +341,9 @@ class MinimalRootTable:
 
     roots: tuple[tuple[IntVec, ...], ...]
     action: tuple[tuple[int, ...], ...]
+
+    def __init__(self, roots, action):
+        self._init(roots=roots, action=action)
 
     @property
     def n_roots(self) -> int:
@@ -568,8 +565,7 @@ def _group_weight(sys: CoxeterSystem, assignment) -> WeightVector:
     return phi
 
 
-@dataclass(frozen=True)
-class GroupCellResult:
+class GroupCellResult(Record):
     """Group-level cell data: the language DFA's simple circuit words and
     circuit-free words, the bound, the bound-attaining witness words, and the
     cell automaton.  X (circuit images, boundedness test) and Y (circuit-free
@@ -583,6 +579,12 @@ class GroupCellResult:
     witnesses: tuple[Word, ...]
     cell_nfa: Automaton
     cell_dfa: Automaton
+
+    def __init__(self, system, language, circuit_words, free_words, bound, witnesses, cell_nfa, cell_dfa):
+        self._init(
+            system=system, language=language, circuit_words=circuit_words, free_words=free_words, bound=bound,
+            witnesses=witnesses, cell_nfa=cell_nfa, cell_dfa=cell_dfa,
+        )
 
     @cached_property
     def X(self) -> frozenset[GroupElement]:
@@ -616,11 +618,13 @@ def group_cell(
     )
 
 
-@dataclass(frozen=True)
-class HeckeOneDim:
+class HeckeOneDim(Record):
     phi: WeightVector
     bound: Fraction
     cell_dfa: Automaton
+
+    def __init__(self, phi, bound, cell_dfa):
+        self._init(phi=phi, bound=bound, cell_dfa=cell_dfa)
 
 
 def hecke_onedim(sys: CoxeterSystem, psi, signs, caps: Caps = Caps()) -> HeckeOneDim:

@@ -21,13 +21,12 @@ for signs.  `CycloReal.sign` clears denominators and calls the same
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
 
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, Record, ResourceLimitError
 
 __all__ = [
     "CycloReal",
@@ -182,8 +181,7 @@ def int_mul_sub(u, multiplier, y) -> tuple[int, ...]:
     return tuple([p - sum(map(mul, r, y)) for p, r in zip(u, rows)])
 
 
-@dataclass(frozen=True)
-class CycloReal:
+class CycloReal(Record):
     """An element of Q(2cos(pi/M)), as a power-basis coefficient vector.
 
     Immutable and hashable; arithmetic is exact.  Mixed arithmetic with int
@@ -192,6 +190,9 @@ class CycloReal:
 
     modulus: int
     coeffs: tuple[Fraction, ...]
+
+    def __init__(self, modulus, coeffs):
+        self._init(modulus=modulus, coeffs=coeffs)
 
     # -- constructors ------------------------------------------------------
 

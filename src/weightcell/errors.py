@@ -1,10 +1,49 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy and the value-class base shared by all modules.
 
-The CLI maps these onto its exit-code contract: input validation -> 2,
-resource caps -> 3, violated mathematical preconditions -> 4.
+The CLI maps the exceptions onto its exit-code contract: input validation
+-> 2, resource caps -> 3, violated mathematical preconditions -> 4.
 """
 
 from __future__ import annotations
+
+from operator import attrgetter
+
+
+class Record:
+    """Base of the immutable value classes.
+
+    A subclass annotates its fields (two or more), in order, and its
+    `__init__` hands their values to `_init`.  Records of one class are equal
+    when their fields are, hash as the field tuple and print as
+    `Name(field=value, ...)`.  Fields cannot be assigned or deleted;
+    `functools.cached_property` still works, as it writes to `__dict__`.
+    """
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+        cls._values = attrgetter(*cls._fields)  # a tuple, as there are two or more
+
+    def _init(self, **values):
+        self.__dict__.update(values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        values = self._values
+        return values(self) == values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
 
 
 class WeightcellError(Exception):

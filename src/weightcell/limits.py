@@ -13,33 +13,31 @@ comma-separated list like "states=500000,cycles=20000", parsed by
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields
 
-from .errors import InputError
+from .errors import InputError, Record
 
 
-@dataclass(frozen=True)
-class Caps:
-    states: int = 1_000_000
-    cycles: int = 100_000
-    rays: int = 100_000
-    words: int = 1_000_000
-    elements: int = 1_000_000
-    roots: int = 100_000
+class Caps(Record):
+    states: int
+    cycles: int
+    rays: int
+    words: int
+    elements: int
+    roots: int
 
-    def __post_init__(self):
-        for f in fields(self):
-            if getattr(self, f.name) <= 0:
-                raise InputError(f"cap {f.name!r} must be positive")
+    def __init__(self, states=10**6, cycles=10**5, rays=10**5, words=10**6, elements=10**6, roots=10**5):
+        self._init(states=states, cycles=cycles, rays=rays, words=words, elements=elements, roots=roots)
+        for name in self._fields:
+            if getattr(self, name) <= 0:
+                raise InputError(f"cap {name!r} must be positive")
 
     @classmethod
     def from_env(cls, env: str | None = None) -> "Caps":
         text = os.environ.get("WEIGHTCELL_CAPS", "") if env is None else env
         values = {}
-        known = {f.name for f in fields(cls)}
         for item in filter(None, (part.strip() for part in text.split(","))):
             key, sep, raw = item.partition("=")
-            if not sep or key.strip() not in known:
+            if not sep or key.strip() not in cls._fields:
                 raise InputError(f"bad WEIGHTCELL_CAPS entry {item!r}")
             try:
                 values[key.strip()] = int(raw)

@@ -17,13 +17,12 @@ All comparisons are exact; there are no tolerance parameters.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
 
 from .automata import Automaton, Word, _out_edges, determinize, is_trim, minimize, trim
-from .errors import InputError, ResourceLimitError, UnboundedError
+from .errors import InputError, Record, ResourceLimitError, UnboundedError
 from .limits import Caps
 
 __all__ = [
@@ -47,17 +46,16 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class WeightVector(Record):
     """Rational letter weights over an ordered alphabet."""
 
     alphabet: tuple[str, ...]
     values: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        if len(self.alphabet) != len(self.values):
+    def __init__(self, alphabet, values):
+        if len(alphabet) != len(values):
             raise InputError("weight vector must assign a value to every letter")
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
+        self._init(alphabet=alphabet, values=tuple(Fraction(v) for v in values))
 
     @staticmethod
     def from_mapping(alphabet, mapping) -> "WeightVector":
@@ -134,8 +132,7 @@ def distinct_count_vectors(cycles, n_letters: int) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SimpleCycle:
+class SimpleCycle(Record):
     """An elementary circuit of the transition multigraph.
 
     arcs[i] = (state, letter) is the transition leaving `state`; the last arc
@@ -144,6 +141,9 @@ class SimpleCycle:
 
     base_state: int
     arcs: tuple[tuple[int, int], ...]
+
+    def __init__(self, base_state, arcs):
+        self._init(base_state=base_state, arcs=arcs)
 
     def word(self) -> Word:
         return tuple(letter for _, letter in self.arcs)
@@ -285,15 +285,16 @@ def circuit_free_words(a: Automaton, caps: Caps = Caps()) -> list[Word]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundednessReport:
+class BoundednessReport(Record):
     bounded: bool
     violating_cycle: SimpleCycle | None
     inequalities: tuple[tuple[int, ...], ...]  # letter-count vectors of cycles
 
+    def __init__(self, bounded, violating_cycle, inequalities):
+        self._init(bounded=bounded, violating_cycle=violating_cycle, inequalities=inequalities)
 
-@dataclass(frozen=True)
-class CellResult:
+
+class CellResult(Record):
     """Exact bound, its circuit-free witnesses, and (when computed) the
     cell automata: `cell_nfa` is the raw tight sub-automaton straight out of
     the construction (a sub-automaton of a DFA, so deterministic, though
@@ -301,8 +302,11 @@ class CellResult:
 
     bound: Fraction
     witnesses: tuple[Word, ...]
-    cell_nfa: Automaton | None = None
-    cell_dfa: Automaton | None = None
+    cell_nfa: Automaton | None
+    cell_dfa: Automaton | None
+
+    def __init__(self, bound, witnesses, cell_nfa=None, cell_dfa=None):
+        self._init(bound=bound, witnesses=witnesses, cell_nfa=cell_nfa, cell_dfa=cell_dfa)
 
 
 @lru_cache(maxsize=1024)

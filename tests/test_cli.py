@@ -347,6 +347,24 @@ class TestCoxeterCommands:
         assert "minimal roots" in error["message"]
         assert (error["stage"], error["cap"]) == ("minimal roots", 2)
 
+    def test_cap_flags_override_weightcell_caps_field_by_field(self, capsys, tmp_path, monkeypatch):
+        # H4 has 60 minimal roots and an 85-state shortlex DFA
+        path = tmp_path / "h4.json"
+        matrix = [[1, 5, 2, 2], [5, 1, 3, 2], [2, 3, 1, 3], [2, 2, 3, 1]]
+        path.write_text(json.dumps({"generators": ["s0", "s1", "s2", "s3"], "matrix": matrix}))
+        monkeypatch.setenv("WEIGHTCELL_CAPS", "states=3,roots=5")
+        code, out, err = run(capsys, "coxeter", "build", str(path), "--max-states", "100000")
+        assert (code, out) == (3, "")
+        assert [json.loads(err)["error"][k] for k in ("stage", "cap")] == ["minimal roots", 5]
+        monkeypatch.setenv("WEIGHTCELL_CAPS", "states=3")
+        code, out, err = run(capsys, "coxeter", "build", str(path), "--format", "json")
+        assert [json.loads(err)["error"][k] for k in ("stage", "cap")] == ["automaton states", 3]
+        code, out, err = run(capsys, "coxeter", "build", str(path), "--format", "json", "--max-states", "100000")
+        assert (code, err, json.loads(out)["states"]) == (0, "", 85)
+        code, out, err = run(capsys, "coxeter", "build", str(path), "--max-states", "0")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["message"] == "cap 'states' must be positive"
+
 
 class TestInputTypes:
     """Wrong JSON types and non-weight assignments end in exit 2, not in a
@@ -552,12 +570,14 @@ def test_one_double_description_per_cone(capsys, monkeypatch, fig246_file, delta
 
 
 def test_cli_import_leaves_mpmath_unloaded():
-    # every CLI call is a fresh process, so start-up time is paid per call
+    # every CLI call is a fresh process, so start-up time is paid per call;
+    # dataclasses (and the inspect it imports) cost more than weightcell's
+    # own module bodies
     src = str(Path(weightcell.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, weightcell.cli; print('mpmath' in sys.modules)"
+    code = "import sys, weightcell.cli; print(sorted({'mpmath', 'dataclasses', 'inspect'} & set(sys.modules)))"
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
