@@ -3,7 +3,8 @@
 An automaton is a labelled directed multigraph with a start state and a set
 of accept states.  Non-deterministic automata share the type with DFAs (the
 `deterministic` flag is computed from the transitions), because automaton
-files may describe NFAs and `reverse` emits them.
+files may describe NFAs and `reverse` emits them.  An automaton computes
+its determinism and its sorted out-edges once, on first use.
 
 Determinize and minimize renumber states canonically (breadth-first
 discovery order, letters ascending), so building the same automaton twice
@@ -16,7 +17,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from collections import deque
-from functools import lru_cache
+from functools import cached_property
 from itertools import chain
 
 from .errors import InputError, Record, ResourceLimitError
@@ -69,9 +70,22 @@ class Automaton(Record):
         accept, transitions = frozenset(accept), tuple(sorted(set(transitions)))
         self._init(alphabet=alphabet, n_states=n_states, start=start, accept=accept, transitions=transitions)
 
-    @property
+    @cached_property
     def deterministic(self) -> bool:
-        return _is_deterministic(self)
+        seen = set()
+        for src, letter, _ in self.transitions:
+            if (src, letter) in seen:
+                return False
+            seen.add((src, letter))
+        return True
+
+    @cached_property
+    def _out_edges(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per state, the outgoing (letter, target) pairs sorted by letter then target."""
+        out: list[list[tuple[int, int]]] = [[] for _ in range(self.n_states)]
+        for src, letter, dst in self.transitions:
+            out[src].append((letter, dst))
+        return tuple(tuple(sorted(edges)) for edges in out)
 
     # -- word helpers -------------------------------------------------------
 
@@ -103,25 +117,6 @@ class Automaton(Record):
         return " ".join(names)
 
 
-@lru_cache(maxsize=4096)
-def _is_deterministic(a: Automaton) -> bool:
-    seen = set()
-    for src, letter, _ in a.transitions:
-        if (src, letter) in seen:
-            return False
-        seen.add((src, letter))
-    return True
-
-
-@lru_cache(maxsize=4096)
-def _out_edges(a: Automaton) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Per state, the outgoing (letter, target) pairs sorted by letter then target."""
-    out: list[list[tuple[int, int]]] = [[] for _ in range(a.n_states)]
-    for src, letter, dst in a.transitions:
-        out[src].append((letter, dst))
-    return tuple(tuple(sorted(edges)) for edges in out)
-
-
 def empty_language_automaton(alphabet: tuple[str, ...]) -> Automaton:
     return Automaton(alphabet, 1, 0, frozenset(), ())
 
@@ -140,7 +135,7 @@ def trim(a: Automaton) -> Automaton:
     """
     forward = {a.start}
     queue = deque([a.start])
-    out = _out_edges(a)
+    out = a._out_edges
     while queue:
         q = queue.popleft()
         for _, dst in out[q]:
@@ -217,7 +212,7 @@ def explore(start, successors, stage: str, cap: int):
 
 def determinize(a: Automaton, caps: Caps = Caps()) -> Automaton:
     """Subset construction; canonical numbering by BFS discovery, letters ascending."""
-    out = _out_edges(a)
+    out = a._out_edges
 
     def successors(subset):
         targets: dict[int, set[int]] = {}
@@ -352,7 +347,7 @@ def reverse(a: Automaton) -> Automaton:
 
 def accepts(a: Automaton, w: Word) -> bool:
     """Path-existence membership test; works for NFAs."""
-    out = _out_edges(a)
+    out = a._out_edges
     current = {a.start}
     for letter in w:
         if not (0 <= letter < len(a.alphabet)):
@@ -368,7 +363,7 @@ def enumerate_words(a: Automaton, maxlen: int, caps: Caps = Caps()) -> list[Word
     if maxlen < 0:
         raise InputError("maxlen must be >= 0")
     d = a if a.deterministic else determinize(a, caps)
-    out = _out_edges(d)
+    out = d._out_edges
     words: list[Word] = []
     frontier: list[tuple[int, Word]] = [(d.start, ())]
     if d.start in d.accept:
@@ -413,8 +408,8 @@ def counterexample(a: Automaton, b: Automaton, caps: Caps = Caps()) -> Word | No
     b = _remap_to(b, a.alphabet)
     da, db = determinize(a, caps), determinize(b, caps)
     # per state, letter -> target; the sink after the last state has no edges
-    ta = [dict(edges) for edges in _out_edges(da)] + [{}]
-    tb = [dict(edges) for edges in _out_edges(db)] + [{}]
+    ta = [dict(edges) for edges in da._out_edges] + [{}]
+    tb = [dict(edges) for edges in db._out_edges] + [{}]
     sink_a, sink_b = da.n_states, db.n_states
     start = (da.start, db.start)
     seen = {start}

@@ -604,18 +604,23 @@ def group_cell(
     """Boundedness, bound, and cell of a group weight function, through the
     chosen geodesic language (shortlex is exact, so its cell automaton
     recognises one word per cell element)."""
-    phi = _group_weight(sys, assignment)
-    d = prepared(language_automaton(sys, language, caps), caps)
-    try:
-        cell = cell_automaton(d, phi, caps)
-    except UnboundedError as exc:
-        raise UnboundedError(
-            "weight function is unbounded on the group", cycle=exc.cycle, word=exc.word
-        ) from None
+    d, cell = _group_cell_automaton(sys, assignment, language, caps)
     circuits, free = tuple(simple_circuit_words(d, caps)), tuple(circuit_free_words(d, caps))
     return GroupCellResult(
         sys, language, circuits, free, cell.bound, cell.witnesses, cell.cell_nfa, cell.cell_dfa
     )
+
+
+def _group_cell_automaton(sys: CoxeterSystem, assignment, language: str, caps: Caps = Caps()):
+    """The prepared language DFA and the group weight function's cell on it."""
+    phi = _group_weight(sys, assignment)
+    d = prepared(language_automaton(sys, language, caps), caps)
+    try:
+        return d, cell_automaton(d, phi, caps)
+    except UnboundedError as exc:
+        raise UnboundedError(
+            "weight function is unbounded on the group", cycle=exc.cycle, word=exc.word
+        ) from None
 
 
 class HeckeOneDim(Record):
@@ -661,8 +666,8 @@ def hecke_onedim(sys: CoxeterSystem, psi, signs, caps: Caps = Caps()) -> HeckeOn
             Fraction(int(psi_map[name]) * sign_map[name]) for name in sys.generators
         ),
     )
-    result = group_cell(sys, phi, "lex", caps)
-    return HeckeOneDim(phi, result.bound, result.cell_dfa)
+    _, cell = _group_cell_automaton(sys, phi, "lex", caps)
+    return HeckeOneDim(phi, cell.bound, cell.cell_dfa)
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import lcm
 
-from .automata import Automaton, Word, _out_edges, determinize, is_trim, minimize, trim
+from .automata import Automaton, Word, determinize, is_trim, minimize, trim
 from .errors import InputError, Record, ResourceLimitError, UnboundedError
 from .limits import Caps
 
@@ -172,7 +172,7 @@ def simple_cycles(a: Automaton, caps: Caps = Caps()) -> list[SimpleCycle]:
     """
     if not is_trim(a):
         raise InputError("simple_cycles requires a trimmed automaton")
-    adjacency = _out_edges(a)
+    adjacency = a._out_edges
     predecessors: list[list[int]] = [[] for _ in range(a.n_states)]
     for src, _, dst in a.transitions:
         predecessors[dst].append(src)
@@ -255,7 +255,7 @@ def circuit_free_words(a: Automaton, caps: Caps = Caps()) -> list[Word]:
         raise InputError("circuit_free_words requires a deterministic automaton")
     if not is_trim(a):
         raise InputError("circuit_free_words requires a trimmed automaton")
-    adjacency = _out_edges(a)
+    adjacency = a._out_edges
     words: list[Word] = [()] if a.start in a.accept else []
     visited: set[int] = set()
     word: list[int] = []
@@ -309,7 +309,6 @@ class CellResult(Record):
         self._init(bound=bound, witnesses=witnesses, cell_nfa=cell_nfa, cell_dfa=cell_dfa)
 
 
-@lru_cache(maxsize=1024)
 def prepared(a: Automaton, caps: Caps = Caps()) -> Automaton:
     """Deterministic trimmed form used by every weight-engine entry point."""
     if not a.deterministic:

@@ -1,6 +1,7 @@
 """The public API is declared once, in each module's `__all__`."""
 
 import copy
+import inspect
 from fractions import Fraction
 from pathlib import Path
 
@@ -43,6 +44,21 @@ def test_every_cache_is_bounded():
     assert len(caches) == sum(Path(m.__file__).read_text().count("@lru_cache(") for m in MODULES)
     unbounded = [name for name, fn in caches.items() if type(fn.cache_parameters()["maxsize"]) is not int]
     assert not unbounded
+
+
+def test_no_cache_is_keyed_on_an_automaton():
+    # an automaton keeps its own derived data (cached properties); a cache
+    # keyed on one would rehash all its transitions on every hit
+    keyed = []
+    for module in MODULES:
+        for name, fn in vars(module).items():
+            if not hasattr(fn, "cache_parameters"):  # perhaps a tracing wrapper
+                fn = getattr(fn, "__wrapped__", fn)
+            if hasattr(fn, "cache_parameters") and fn.__module__ == module.__name__:
+                first = next(iter(inspect.signature(fn).parameters.values()), None)
+                if first is not None and first.annotation in ("Automaton", automata.Automaton):
+                    keyed.append(f"{module.__name__}.{name}")
+    assert not keyed
 
 
 # ---------------------------------------------------------------------------
@@ -170,3 +186,11 @@ def test_cached_properties_still_cache_on_records():
     cell = coxeter.group_cell(A2, {"s": 1, "t": 1})
     assert cell.X == frozenset() and len(cell.Y) == 6 and cell.Y is cell.Y
     assert {"X", "Y"} <= set(vars(cell))
+    a = automata.Automaton(("s", "t"), 2, 0, {1}, ((0, 0, 1), (1, 1, 0)))
+    before = (hash(a), repr(a))
+    assert not {"deterministic", "_out_edges"} & set(vars(a))
+    assert a.deterministic is True and a._out_edges == (((0, 1),), ((1, 0),))
+    assert {"deterministic", "_out_edges"} <= set(vars(a)) and a._out_edges is a._out_edges
+    assert a == TWO_CYCLE and (hash(a), repr(a)) == before
+    twin = copy.copy(a)
+    assert twin is not a and twin == a and hash(twin) == hash(a) and repr(twin) == repr(a)

@@ -683,10 +683,23 @@ class TestHecke:
         assert enumerate_words(result.cell_dfa, 6) == [()]
 
     def test_all_plus_on_infinite_group_unbounded(self, sys_246):
-        with pytest.raises(UnboundedError):
+        with pytest.raises(UnboundedError) as exc:
             hecke_onedim(
                 sys_246, {"s": 1, "t": 1, "u": 1}, {"s": "+", "t": "+", "u": "+"}
             )
+        with pytest.raises(UnboundedError) as on_group:
+            group_cell(sys_246, {"s": 1, "t": 1, "u": 1})
+        assert str(exc.value) == str(on_group.value) == "weight function is unbounded on the group"
+        assert (exc.value.cycle, exc.value.word) == (on_group.value.cycle, on_group.value.word)
+
+    def test_d5t_all_minus_reads_only_the_cell(self):
+        # the lex DFA has more than 10^6 circuit-free words; the bound and
+        # the cell come from its tight sub-automaton without them
+        sys = BENCHMARK_SYSTEMS["D5t"]
+        psi, signs = {n: 1 for n in sys.generators}, {n: "-" for n in sys.generators}
+        result = hecke_onedim(sys, psi, signs)
+        assert result.bound == 0
+        assert enumerate_words(result.cell_dfa, 6) == [()]
 
     def test_sign_pattern_must_respect_odd_bonds(self, sys_333):
         with pytest.raises(InputError):
