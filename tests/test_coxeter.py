@@ -1,6 +1,7 @@
 """Coxeter-engine tests: minimal roots, automata, normal forms, the ball
 oracle, group weight functions, cells, and the Hecke view."""
 
+import hashlib
 import importlib.util
 import itertools
 import json
@@ -165,6 +166,55 @@ def _load_benchmark_systems():
 
 
 BENCHMARK_SYSTEMS = _load_benchmark_systems()
+
+
+# sha256 of to_json(language_automaton(sys, language)) for every benchmark
+# system and language whose build takes under a second, and for D5t lex;
+# `test_direct_build_matches_minimize` sends both of its sides through the
+# same Hopcroft core, so only fixed digests see a change in that core
+LANGUAGE_DFA_DIGESTS = {
+    ("H4", "lex"): "b363cbc40233bef5699a909248c4114fe9982dc7259459617c6971e3788b8d62",
+    ("H4", "reduced"): "9c77cf9efde4322a5d675a115ff53012beb8820eb00759686a1a1c3712b4a4d7",
+    ("F4", "lex"): "34a9208c20633f939f09810578dd2a0187563dca3b0224d309ea08e8d46717ed",
+    ("F4", "reduced"): "2adbe4b771962cfce954ea2b8d3f870b2715d8a5ddfd9a10083d7b124028815b",
+    ("B4", "lex"): "0376b3df6eeee2bf92e8a721bc28f2082aefcba60f3197260b65688c73c51516",
+    ("B4", "reduced"): "17f7edd99a756178369e5a82f5fdd6df310cec4a5d868fff85658daa474c06ec",
+    ("B5", "lex"): "1f4e1913e9f70837cc67d2bd48b03c7fcd43719fed3e7368f7440038b8cf3adc",
+    ("B5", "reduced"): "2f5e6d8249860de3d335d2bee3893d7714bb8fe22fdb39669f8a25821e3ef63c",
+    ("G2t", "lex"): "9b918b0d63de8f9df8955f74836fb236e0061a59f8e988d97ef0c67361adb01f",
+    ("G2t", "reduced"): "ba25321f1c82543bfacb790a9dc81c27942627188656b980e637971767302fb7",
+    ("B3t", "lex"): "88e886099257ef99d2278d46ee930fa05b84c43d2f33764d8d3f1b8d8e360ab7",
+    ("B3t", "reduced"): "9dd6f0a29e80f4ed9d77cc52e16dc77424e1f21e1c31b87c70b709e57bb9d0b0",
+    ("B4t", "lex"): "bb6e6fcf2b34f9f53f08405131c3b4cd0f64e6728ad5bc002e7206d32c29d8fd",
+    ("B4t", "reduced"): "36e6dc87ecbcb8abf627759bad1d4982d2fd1ecff744b1003eaa8a9254474c76",
+    ("C4t", "lex"): "ec00c03c1ab0f34f2f6cbefafafcf9c3437e9d17ae452871b0ba2135e192c807",
+    ("C4t", "reduced"): "e6cbae7b3a59028afad0b4b4a8e121b97b90d8279f9701039fc5d87de6403057",
+    ("F4t", "lex"): "aa1aec36c02b4c5588dc21b6dccd2885ce5a084f57a998e53d984edd1c5c3a27",
+    ("F4t", "reduced"): "f0facfde44ff820af839d046d05d0d11006100110bfd34483afbc74c9a74dd88",
+    ("D5t", "lex"): "9787082aca90bd6d7bafa2457aebeb900958967d0e3e6a7405f822c4a6873688",
+    ("H353", "lex"): "95e4c23e7e7e55ad620fa5f84af26ea8f32dcece14eb882ec05e681fe63e5dff",
+    ("H353", "reduced"): "0c327d8edb323adeba3185ce4b756a354c7bef9d9616f53e32de9389504685b6",
+    ("C303", "lex"): "5f377b5bc2d63e5d8d6a319366f7d293eca4119accdfbb5b488d783c7ac6119f",
+    ("C303", "reduced"): "5027fa38b35f3e6eda1e9e869bc264c33a3b084821690ffdf89e3b94b7b8aa54",
+    ("T2711", "lex"): "468d863455cfe8b4a21a0b4b3c5362617ed7f17177f4fb32e929e4925fa61fc6",
+    ("T2711", "reduced"): "344c5ee108874ff1265a9b0dcf215c3986f714ffec51f7cfdfda260cbebfc244",
+    ("T345", "lex"): "32682dcde3f92405966d14f2b7a777ee3e46ed8b2b7a7e851acfe4c226db4b24",
+    ("T345", "reduced"): "87d9402d5dd8d43fa04d4b79eed964c9ce7c4cc446aeb5fbe19ddeb1efda225f",
+    ("T246", "lex"): "0b4eeb3def8831a92655f8835aa8c0404d8abc6a26825e7fce70aae6e403fbb7",
+    ("T246", "reduced"): "6449f409a1e706686e607eb8c186cfd4c2affad49a60ace78469275f4538f649",
+    ("T237", "lex"): "45845d6fb83197939fbbd01d71506a051355eee5ed83d0f8f899109a0c60b83d",
+    ("T237", "reduced"): "087ed380dedd2c04bf4448bc82e6fa1354f4d33d817b6da92e0af04ab831f399",
+    ("T444", "lex"): "b063781f39752ad9c1aef0411dcd6181c1b7ea3425bb64d47f0fc7008c771800",
+    ("T444", "reduced"): "6e4e365e56382a630437d9904ff465ecae783179a7453124d41d312011200f11",
+    ("I2_6", "lex"): "2fb43e0a3653d97b9e1b65e23080bce161dede3902a80e1953b6ce26266628c2",
+    ("I2_6", "reduced"): "10cc1f32a445fbf30d6b0f00e80ded9b6812b7b7d51508a4d51b1f5221efcad6",
+    ("I2_8", "lex"): "c0bf8eb406865688c9883cccf931af9c6f14a29a1420ebd6c68c47902467b393",
+    ("I2_8", "reduced"): "11cd3d1cfed081de1d1940faf1d32e1fe4d09557e87f7c724956350b6ccdfc16",
+    ("I2_10", "lex"): "bb51dbd4bbc0c942610430f53056e45e182bef01fd876f1b32296cc7a21b9921",
+    ("I2_10", "reduced"): "bcae552fe2803833f5344a2478a52e0925d8c4baa73a76b03a60f6af79590fb2",
+    ("I2_12", "lex"): "39fc061ddf91c035dcb6550bc82239890b31a54a3982e18810e7a90118933260",
+    ("I2_12", "reduced"): "0ccd29d2ee55f84df27c035afb0bdcad5a1d93ca71cbda99e8f5815cfd1e83e3",
+}
 
 
 # -- systems ------------------------------------------------------------------
@@ -459,6 +509,11 @@ class TestAutomata:
         sys = BENCHMARK_SYSTEMS[name]
         raw = subset_dfa(sys, shortlex=language == "lex")
         assert to_json(language_automaton(sys, language)) == to_json(minimize(raw))
+
+    @pytest.mark.parametrize("name,language", sorted(LANGUAGE_DFA_DIGESTS))
+    def test_language_dfa_digest(self, name, language):
+        built = to_json(language_automaton(BENCHMARK_SYSTEMS[name], language))
+        assert hashlib.sha256(built.encode()).hexdigest() == LANGUAGE_DFA_DIGESTS[name, language]
 
     @pytest.mark.parametrize("name", ["H4", "F4", "B4", "B5", "I2_12"])
     def test_finite_reduced_automaton_is_minimal(self, name, monkeypatch):
