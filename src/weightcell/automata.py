@@ -18,7 +18,7 @@ import json
 from bisect import bisect_left
 from collections import deque
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, groupby
 
 from .errors import InputError, Record, ResourceLimitError
 from .limits import Caps
@@ -182,19 +182,21 @@ def explore(start, successors, stage: str, cap: int):
     """Breadth-first search from `start`, numbering each key in discovery order.
 
     `successors(key)` yields (letter, key) pairs in ascending letter order.
-    Returns (order, transitions): the keys in number order and the (source,
-    letter, target) triples.  More than `cap` keys raise
-    ResourceLimitError(stage, cap).  Every construction numbers its states
-    through here, which makes its output canonical.
+    Returns (order, columns): the keys in number order, and the transitions
+    as three parallel lists (sources, letters, targets) in (source, letter)
+    order, whose numbers are the dict's own int objects.  More than `cap`
+    keys raise ResourceLimitError(stage, cap).  Every construction numbers
+    its states through here, which makes its output canonical.
 
-    `order` is a view of the key -> number dict, so the dict lives until
-    the caller has built its automaton.  Freed earlier, its large block
-    raises malloc's mmap threshold and the automaton's temporaries then
-    stay on the heap (CPython 3.11, glibc: the weight-sweep benchmark's
-    peak RSS rose from 48 to 58 MB).
+    `order` is a view of the key -> number dict.  `determinize` and
+    `_minimal` keep it until they have built their automaton.
+    `_subset_automaton` keeps only its length, so its dict is freed before
+    Hopcroft runs: kept alive through Hopcroft, it raised the peak RSS of a
+    cold `coxeter build` of the affine D5 shortlex DFA from 26.5 to 30.6 MB
+    (CPython 3.11, glibc).
     """
     index = {start: 0}
-    transitions = []
+    sources, letters, targets = [], [], []
     queue = deque([start])
     while queue:
         key = queue.popleft()
@@ -206,8 +208,15 @@ def explore(start, successors, stage: str, cap: int):
                     raise ResourceLimitError(stage, cap)
                 dst = index[nxt] = len(index)
                 queue.append(nxt)
-            transitions.append((src, letter, dst))
-    return index.keys(), transitions
+            sources.append(src)
+            letters.append(letter)
+            targets.append(dst)
+    return index.keys(), (sources, letters, targets)
+
+
+def _automaton(alphabet, n: int, start: int, accept, columns) -> Automaton:
+    """The automaton whose transitions are the (sources, letters, targets) columns."""
+    return Automaton(alphabet, n, start, accept, tuple(zip(*columns)))
 
 
 def determinize(a: Automaton, caps: Caps = Caps()) -> Automaton:
@@ -222,21 +231,22 @@ def determinize(a: Automaton, caps: Caps = Caps()) -> Automaton:
         for letter in sorted(targets):
             yield letter, frozenset(targets[letter])
 
-    order, transitions = explore(
+    order, columns = explore(
         frozenset([a.start]), successors, "determinization states", caps.states
     )
     accept = frozenset(i for i, subset in enumerate(order) if subset & a.accept)
-    return Automaton(a.alphabet, len(order), 0, accept, tuple(transitions))
+    return _automaton(a.alphabet, len(order), 0, accept, columns)
 
 
 class _Partition:
     """Refinable partition of range(n) (Valmari-Lehtinen 2008): set b is the
     slice first[b]:past[b] of `elems`, and `refine` cuts every set it
     touches into its given and other elements, numbering the smaller part
-    as a new set after all others."""
+    as a new set after all others.  Positions and elements are entries of
+    `ids` (list(range(k)) for some k >= n), so no entry holds its own int."""
 
-    def __init__(self, n: int):
-        self.elems, self.loc, self.set_of = list(range(n)), list(range(n)), [0] * n
+    def __init__(self, ids: list[int], n: int):
+        self.ids, self.elems, self.loc, self.set_of = ids, ids[:n], ids[:n], [0] * n
         self.first, self.past, self.marked = ([0], [n], [0]) if n else ([], [], [])
 
     def members(self, b: int) -> list[int]:
@@ -244,14 +254,14 @@ class _Partition:
 
     def refine(self, items) -> None:
         elems, loc, set_of, marked = self.elems, self.loc, self.set_of, self.marked
-        first, past, touched = self.first, self.past, []
+        ids, first, past, touched = self.ids, self.first, self.past, []
         for e in items:  # move e to the marked front of its set
             b, i = set_of[e], loc[e]
             j = first[b] + marked[b]
             if i < j:
                 continue
             other = elems[j]
-            elems[i], elems[j], loc[other], loc[e] = other, e, i, j
+            elems[i], elems[j], loc[other], loc[e] = other, e, i, ids[j]
             if not marked[b]:
                 touched.append(b)
             marked[b] += 1
@@ -264,11 +274,12 @@ class _Partition:
             if j - first[b] > past[b] - j:
                 parts.reverse()
             (lo, hi), (first[b], past[b]) = parts
+            new = len(first)
             first.append(lo)
             past.append(hi)
             marked.append(0)
-            for e in elems[first[-1] : past[-1]]:
-                set_of[e] = len(first) - 1
+            for e in elems[lo:hi]:
+                set_of[e] = new
 
 
 def minimize(a: Automaton) -> Automaton:
@@ -280,42 +291,63 @@ def minimize(a: Automaton) -> Automaton:
     a = trim(a)
     if not a.accept:
         return empty_language_automaton(a.alphabet)
-    return _minimal(a.alphabet, a.n_states, a.start, a.accept, a.transitions)
+    columns = tuple(map(list, zip(*a.transitions))) or ([], [], [])
+    return _minimal(a.alphabet, a.n_states, a.start, a.accept, columns)
 
 
-def _minimal(alphabet, n: int, start: int, accept, transitions) -> Automaton:
-    """Minimal DFA of a trim DFA on range(n), its triples in (source, letter)
-    order: Hopcroft (1971) in Valmari and Lehtinen's form for partial DFAs
-    (2008), O(m log n) for m transitions; each new block splits those into it."""
-    incoming, by_letter = [[] for _ in range(n)], [[] for _ in alphabet]
-    for t, (_, letter, dst) in enumerate(transitions):
-        incoming[dst].append(t)
-        by_letter[letter].append(t)
-    sources = [src for src, _, _ in transitions]
-    blocks, cords = _Partition(n), _Partition(len(transitions))
+def _minimal(alphabet, n: int, start: int, accept, columns) -> Automaton:
+    """Minimal DFA of a trim DFA on range(n), its transitions given as the
+    (sources, letters, targets) columns of `explore`, in (source, letter)
+    order, canonically numbered over the blocks of `_stable_blocks`."""
+    sources, letters, targets = columns
+    block = _stable_blocks(n, accept, columns)
+    # any state of a block represents it, and the out-edges of q are the
+    # transitions with source q
+    reps = {block[q]: q for q in range(n)}
+
+    def successors(b):
+        q = reps[b]
+        for t in range(bisect_left(sources, q), bisect_left(sources, q + 1)):
+            yield letters[t], block[targets[t]]
+
+    order, edges = explore(block[start], successors, "minimized states", n)
+    final = frozenset(i for i, b in enumerate(order) if reps[b] in accept)
+    return _automaton(alphabet, len(order), 0, final, edges)
+
+
+def _stable_blocks(n: int, accept, columns) -> list[int]:
+    """The block of each state in the coarsest partition of a DFA that
+    separates accept states and is stable under its transitions: Hopcroft
+    (1971) in Valmari and Lehtinen's form for partial DFAs (2008),
+    O(m log n) for m transitions; each new block splits those into it.
+    Every structure here is freed before the caller builds its automaton."""
+    sources, letters, targets = columns
+    m = len(sources)
+    ids = list(range(max(n, m) + 1))
+    # transitions into state q: into[offsets[q] : offsets[q + 1]]
+    into = sorted(ids[:m], key=targets.__getitem__)
+    counts = [0] * n
+    for dst in targets:
+        counts[dst] += 1
+    offsets = list(map(ids.__getitem__, accumulate(counts, initial=0)))
+    del counts
+
+    def incoming(states):
+        for q in states:
+            yield from into[offsets[q] : offsets[q + 1]]
+
+    blocks, cords = _Partition(ids, n), _Partition(ids, m)
     blocks.refine(accept)
-    for group in by_letter:
+    for _, group in groupby(sorted(ids[:m], key=letters.__getitem__), letters.__getitem__):
         cords.refine(group)
     b, c = 1, 0  # block 0 never splits the transitions: Hopcroft's "all but one"
     while c < len(cords.first):
         blocks.refine(map(sources.__getitem__, cords.members(c)))
         c += 1
         while b < len(blocks.first):
-            cords.refine(chain.from_iterable(map(incoming.__getitem__, blocks.members(b))))
+            cords.refine(incoming(blocks.members(b)))
             b += 1
-    # Canonical numbering over the stable partition: any state of a block
-    # represents it, and the out-edges of q are the triples with source q.
-    block = blocks.set_of
-    reps = {block[q]: q for q in range(n)}
-
-    def successors(b):
-        q = reps[b]
-        for _, letter, dst in transitions[bisect_left(sources, q) : bisect_left(sources, q + 1)]:
-            yield letter, block[dst]
-
-    order, edges = explore(block[start], successors, "minimized states", n)
-    final = frozenset(i for i, b in enumerate(order) if reps[b] in accept)
-    return Automaton(alphabet, len(order), 0, final, tuple(edges))
+    return blocks.set_of
 
 
 def reverse(a: Automaton) -> Automaton:

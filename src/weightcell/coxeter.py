@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
 
-from .automata import Automaton, Word, _minimal, explore
+from .automata import Automaton, Word, _automaton, _minimal, explore
 from .cyclo import (
     CycloReal,
     embed_2cos,
@@ -412,7 +412,7 @@ def minimal_roots(sys: CoxeterSystem, caps: Caps = Caps()) -> MinimalRootTable:
 def _subset_automaton(sys: CoxeterSystem, shortlex: bool, caps: Caps = Caps()) -> tuple:
     """Forward BFS over sets D of minimal roots, each an int bitmask (bit r
     is root r of `minimal_roots`), returned as the state count and the
-    (source, letter, target) triples of `explore`.  All states accept.
+    transition columns of `explore`.  All states accept.
 
     Reading s needs alpha_s outside D (the word stays reduced) and leads to
     {alpha_s} | s(D) | extra_s, minimal roots only (Brink-Howlett 1993).
@@ -446,8 +446,8 @@ def _subset_automaton(sys: CoxeterSystem, shortlex: bool, caps: Caps = Caps()) -
                 rest >>= 8
             yield s, image
 
-    order, transitions = explore(0, successors, "automaton states", caps.states)
-    return len(order), transitions
+    order, columns = explore(0, successors, "automaton states", caps.states)
+    return len(order), columns
 
 
 @lru_cache(maxsize=64)
@@ -458,10 +458,10 @@ def language_automaton(sys: CoxeterSystem, language: str, caps: Caps = Caps()) -
     one element, and distinct elements have distinct cone types."""
     if language not in ("lex", "reduced"):
         raise InputError(f"unknown language {language!r} (expected 'lex' or 'reduced')")
-    n, transitions = _subset_automaton(sys, language == "lex", caps)
+    n, columns = _subset_automaton(sys, language == "lex", caps)
     if language == "reduced" and is_positive_definite(sys, None, caps):
-        return Automaton(sys.generators, n, 0, frozenset(range(n)), tuple(transitions))
-    return _minimal(sys.generators, n, 0, range(n), transitions)
+        return _automaton(sys.generators, n, 0, frozenset(range(n)), columns)
+    return _minimal(sys.generators, n, 0, range(n), columns)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import itertools
 import json
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from weightcell.automata import (
     Automaton,
+    _automaton,
     determinize,
     enumerate_words,
     equivalent,
@@ -124,8 +126,8 @@ def reduced_words_oracle(sys, radius):
 
 def subset_dfa(sys, shortlex):
     """The Brink-Howlett subset automaton as built, before minimization."""
-    n, transitions = _subset_automaton(sys, shortlex)
-    return Automaton(sys.generators, n, 0, frozenset(range(n)), tuple(transitions))
+    n, columns = _subset_automaton(sys, shortlex)
+    return _automaton(sys.generators, n, 0, frozenset(range(n)), columns)
 
 
 def cyclo_roots(sys, table):
@@ -495,6 +497,25 @@ class TestAutomata:
         n_states, _ = _subset_automaton(BENCHMARK_SYSTEMS[name], shortlex=True)
         assert n_states == states
 
+    def test_lex_build_peak_memory(self):
+        # the subset build and the Hopcroft core keep transitions in flat
+        # columns of shared ints: at most 300 traced bytes per subset
+        # transition (one tuple per transition and per-state incoming lists
+        # took 380-394)
+        sys = BENCHMARK_SYSTEMS["F4t"]
+        minimal_roots(sys)  # warms minimal_roots(sys, caps) too
+        is_positive_definite(sys)
+        raw = subset_dfa(sys, shortlex=True)
+        assert (raw.n_states, len(raw.transitions)) == (12_268, 13_624)
+        del raw
+        tracemalloc.start()
+        try:
+            language_automaton.__wrapped__(sys, "lex")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 300 * 13_624, peak / 13_624
+
     def test_forward_shortlex_state_cap(self):
         sys = BENCHMARK_SYSTEMS["D5t"]
         assert language_automaton(sys, "lex", Caps(states=46_000)).n_states == 141
@@ -505,7 +526,7 @@ class TestAutomata:
     @pytest.mark.parametrize("language", ["lex", "reduced"])
     @pytest.mark.parametrize("name", sorted(BENCHMARK_SYSTEMS))
     def test_direct_build_matches_minimize(self, name, language):
-        # the builders feed explore's triples straight to the Hopcroft core
+        # the builders feed explore's columns straight to the Hopcroft core
         sys = BENCHMARK_SYSTEMS[name]
         raw = subset_dfa(sys, shortlex=language == "lex")
         assert to_json(language_automaton(sys, language)) == to_json(minimize(raw))
