@@ -323,7 +323,7 @@ def _stable_blocks(n: int, accept, columns) -> list[int]:
     Every structure here is freed before the caller builds its automaton."""
     sources, letters, targets = columns
     m = len(sources)
-    ids = list(range(max(n, m) + 1))
+    ids = list(range(max(n, m) + 1))  # one int object per number, shared below
     # transitions into state q: into[offsets[q] : offsets[q + 1]]
     into = sorted(ids[:m], key=targets.__getitem__)
     counts = [0] * n
