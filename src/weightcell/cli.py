@@ -365,6 +365,8 @@ def _cmd_affine(args, caps: Caps) -> int:
 def _cmd_probe(args, caps: Caps) -> int:
     """Sample bounded weight functions and report whether some witness lies
     in a finite standard parabolic subgroup.  Reports only; asserts nothing."""
+    if args.samples < 0:
+        raise InputError("--samples must be >= 0")
     sys_ = _load_system(args)
     a = coxeter.language_automaton(sys_, args.lang, caps)
     raw = cones.HRep(len(a.alphabet), tuple(weights.boundedness_cone_vectors(a, caps)))

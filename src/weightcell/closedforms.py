@@ -13,7 +13,6 @@ automaton pipeline certifies them in the test suite.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .automata import Word
 from .coxeter import (
@@ -22,11 +21,10 @@ from .coxeter import (
     is_positive_definite,
     lex_word,
     longest_element,
-    natural_map,
     parabolic_elements,
     right_mul,
 )
-from .errors import InputError, Record
+from .errors import InputError, Record, ResourceLimitError
 from .limits import Caps
 from .weights import WeightVector, weight_of_word
 
@@ -218,55 +216,30 @@ def bn_bound(n: int, a, b) -> SphericalFormulaResult:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=1)
-def _f4_system() -> CoxeterSystem:
-    names = ("s1", "s2", "s3", "s4")
-    mat = (
-        (1, 3, 2, 2),
-        (3, 1, 4, 2),
-        (2, 4, 1, 3),
-        (2, 2, 3, 1),
-    )
-    return CoxeterSystem(names, mat)
-
-
-_F4_CORE_WORDS = (
-    "121",
-    "121321",
-    "12132132",
-    "1213214321",
-    "121321432132",
-    "121323432132",
-    "121321324321",
-    "12132132432132",
-    "1213214321324321",
-    "121321324321324321",
-    "121321324321323432132",
-)
-
-
-def _f4_candidates(caps: Caps = Caps()) -> list[Word]:
-    flip = {0: 3, 1: 2, 2: 1, 3: 0}
-    words = [tuple(int(ch) - 1 for ch in text) for text in _F4_CORE_WORDS]
-    words += [tuple(flip[i] for i in w) for w in words]
-    sys = _f4_system()
-    words.append(())
-    words.append(lex_word(sys, longest_element(sys, caps)))
-    return words
-
-
-@lru_cache(maxsize=1)
-def _f4_normal_forms(caps: Caps = Caps()) -> tuple[Word, ...]:
-    """Shortlex normal forms of the candidate words; they do not depend on
-    the weights."""
-    sys = _f4_system()
-    return tuple(lex_word(sys, natural_map(sys, w)) for w in _f4_candidates(caps))
+# Shortlex normal forms, letters 0-based, of F4's 24 candidate elements: 11
+# core words, their images under the diagram flip, the identity and the
+# longest element.  They do not depend on the weights; the tests recompute
+# them from the candidate words with `natural_map` and `lex_word`.
+_F4_NORMAL_FORMS = tuple(tuple(map(int, w)) for w in (
+    "010", "010210", "01021021", "0102103210", "010210321021", "010212321021",
+    "010210213210", "01021021321021", "0102103210213210", "010210213210213210",
+    "010210213210212321021",
+    "232", "232123", "21232123", "2321021232", "232102123212", "210321021232",
+    "212321021232", "21232102123212", "2321021232102123", "212321021232102123",
+    "210212321021232102123",
+    "", "010210212321021232102123",
+))
+_F4_MINIMAL_ROOTS = 24  # all of F4's positive roots
 
 
 def f4_bound(a, b, caps: Caps = Caps()) -> SphericalFormulaResult:
     """Bound (always) and cell (for a, b nonzero) in F4, with weight a on
     the two long-node generators s1, s2 and b on s3, s4."""
     a, b = Fraction(a), Fraction(b)
+    # the cell's normal forms rest on F4's minimal roots, whose build stops
+    # under a smaller roots cap
+    if a and b and caps.roots < _F4_MINIMAL_ROOTS:
+        raise ResourceLimitError("minimal roots", caps.roots)
     forms = (
         Fraction(0),
         3 * a,
@@ -279,7 +252,7 @@ def f4_bound(a, b, caps: Caps = Caps()) -> SphericalFormulaResult:
         9 * a + 12 * b,
         12 * a + 12 * b,
     )
-    return _reaching(_f4_system().generators, (a, a, b, b), forms, lambda: _f4_normal_forms(caps))
+    return _reaching(("s1", "s2", "s3", "s4"), (a, a, b, b), forms, lambda: _F4_NORMAL_FORMS)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,12 @@ descent.
 Both language automata read words forward over sets of minimal roots, one
 int bitmask per state (Brink-Howlett 1993), fed straight to the Hopcroft core
 of `automata`; a finite group's reduced-word automaton is already minimal.
+
+What the group arithmetic reads of a system (the field modulus, the identity
+matrix and the integer action of the generators) is built once per system
+by `_kernel`, from the plain functions `field_modulus` and `bilinear_form`.
+The other caches hold results: `minimal_roots`, `language_automaton`,
+`is_positive_definite` and the balls of `_ball_entries`.
 """
 
 from __future__ import annotations
@@ -22,14 +28,7 @@ from functools import cached_property, lru_cache
 from math import lcm
 
 from .automata import Automaton, Word, _automaton, _minimal, explore
-from .cyclo import (
-    CycloReal,
-    embed_2cos,
-    int_multiplier,
-    int_mul_sub,
-    int_sign,
-    minimal_polynomial_of_2cos,
-)
+from .cyclo import CycloReal, embed_2cos, int_multiplier, int_mul_sub, int_sign
 from .errors import InputError, Record, ResourceLimitError, UnboundedError
 from .limits import Caps
 from .weights import (
@@ -62,8 +61,8 @@ __all__ = [
 ]
 
 INFINITE = 0  # JSON/bond encoding of an infinite label
-# Systems held by each per-system cache: more than the 135 (reordered)
-# systems that 25 rounds of perfbench's group-arith workload make.
+# Systems held by each per-system cache: more than the 133 systems (one per
+# generator order) that 24 rounds of perfbench's group-arith workload make.
 _SYSTEMS_CACHED = 256
 
 
@@ -126,7 +125,6 @@ def system_from_json(text: str) -> CoxeterSystem:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=_SYSTEMS_CACHED)
 def field_modulus(sys: CoxeterSystem) -> int:
     labels = [
         sys.matrix[i][j]
@@ -137,7 +135,6 @@ def field_modulus(sys: CoxeterSystem) -> int:
     return lcm(*labels) if labels else 1
 
 
-@lru_cache(maxsize=_SYSTEMS_CACHED)
 def bilinear_form(sys: CoxeterSystem):
     """B(alpha_i, alpha_j) = -cos(pi/m_ij), exactly -1 for infinite bonds."""
     M = field_modulus(sys)
@@ -162,9 +159,11 @@ IntMatrix = tuple[tuple[IntVec, ...], ...]  # rows of entries
 
 
 @lru_cache(maxsize=_SYSTEMS_CACHED)
-def _kernel(sys: CoxeterSystem):
-    """The integer data of the generators' action: for each s, the pairs
-    (k, multiplier of 2B(alpha_s, alpha_k)) over k != s with a nonzero entry.
+def _kernel(sys: CoxeterSystem) -> tuple[int, IntMatrix, tuple]:
+    """Everything the group arithmetic reads of a system, built once: the
+    field modulus M, the identity matrix, and for each generator s the
+    pairs (k, multiplier of 2B(alpha_s, alpha_k)) over k != s with a nonzero
+    entry.
 
     2B has entries 2, -2cos(pi/m) and -2, all in Z[2cos(pi/M)], so every
     group matrix and every root has integer coefficient vectors (`IntVec`).
@@ -172,6 +171,7 @@ def _kernel(sys: CoxeterSystem):
     M = field_modulus(sys)
     B = bilinear_form(sys)
     n = sys.rank
+    multipliers: dict[IntVec, tuple] = {}  # one per distinct entry; B is symmetric
     plans = []
     for s in range(n):
         plan = []
@@ -180,9 +180,15 @@ def _kernel(sys: CoxeterSystem):
             if k != s and not entry.is_zero():
                 if any(c.denominator != 1 for c in entry.coeffs):
                     raise ArithmeticError("2B has a non-integral entry")
-                plan.append((k, int_multiplier(M, tuple(int(c) for c in entry.coeffs))))
+                coeffs = tuple(int(c) for c in entry.coeffs)
+                if coeffs not in multipliers:
+                    multipliers[coeffs] = int_multiplier(M, coeffs)
+                plan.append((k, multipliers[coeffs]))
         plans.append(tuple(plan))
-    return tuple(plans)
+    deg = len(B[0][0].coeffs)
+    one, zero = (1,) + (0,) * (deg - 1), (0,) * deg
+    identity_mat = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+    return M, identity_mat, tuple(plans)
 
 
 def _reflect(plan, s: int, vec) -> IntVec:
@@ -223,27 +229,18 @@ class GroupElement(Record):
         return self._hash
 
     def is_identity(self) -> bool:
-        return self.mat == _identity_matrix(self.system)
-
-
-@lru_cache(maxsize=_SYSTEMS_CACHED)
-def _identity_matrix(sys: CoxeterSystem) -> IntMatrix:
-    deg = len(minimal_polynomial_of_2cos(field_modulus(sys))) - 1
-    one = (1,) + (0,) * (deg - 1)
-    zero = (0,) * deg
-    n = sys.rank
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+        return self.mat == _kernel(self.system)[1]
 
 
 def identity(sys: CoxeterSystem) -> GroupElement:
-    e = _identity_matrix(sys)
+    e = _kernel(sys)[1]
     return GroupElement(sys, e, e)
 
 
 def _left_mul_matrix(sys: CoxeterSystem, s: int, x: IntMatrix) -> IntMatrix:
     """Matrix of the generator s times x: sigma_s on every column, so only
     row s changes."""
-    plan = _kernel(sys)[s]
+    plan = _kernel(sys)[2][s]
     rows = list(x)
     rows[s] = tuple([_reflect(plan, s, col) for col in zip(*x)])
     return tuple(rows)
@@ -252,7 +249,7 @@ def _left_mul_matrix(sys: CoxeterSystem, s: int, x: IntMatrix) -> IntMatrix:
 def _right_mul_matrix(sys: CoxeterSystem, x: IntMatrix, s: int) -> IntMatrix:
     """x times the matrix of the generator s: in each row, entry s is negated
     and entry k loses 2B(alpha_s, alpha_k) times the old entry s."""
-    plan = _kernel(sys)[s]
+    plan = _kernel(sys)[2][s]
     out = []
     for row in x:
         a = row[s]
@@ -278,7 +275,7 @@ def right_mul(g: GroupElement, s: int) -> GroupElement:
 
 def natural_map(sys: CoxeterSystem, w: Word) -> GroupElement:
     """The product of the generators of w, left to right."""
-    mat = inv = _identity_matrix(sys)
+    mat = inv = _kernel(sys)[1]
     for s in w:
         mat = _right_mul_matrix(sys, mat, s)
         inv = _left_mul_matrix(sys, s, inv)
@@ -295,7 +292,7 @@ def _is_negative_column(M: int, x: IntMatrix, s: int) -> bool:
 
 
 def right_descents(sys: CoxeterSystem, g: GroupElement) -> frozenset[int]:
-    M = field_modulus(sys)
+    M = _kernel(sys)[0]
     return frozenset(s for s in range(sys.rank) if _is_negative_column(M, g.mat, s))
 
 
@@ -305,10 +302,9 @@ def lex_word(sys: CoxeterSystem, g: GroupElement) -> Word:
     Only the inverse is tracked: the left descents of h are read off the
     columns of h^-1, and (t h)^-1 = h^-1 t.
     """
-    M = field_modulus(sys)
+    M, identity_mat, _ = _kernel(sys)
     word = []
     inv = g.inv
-    identity_mat = _identity_matrix(sys)
     while inv != identity_mat:
         t = next((t for t in range(sys.rank) if _is_negative_column(M, inv, t)), None)
         if t is None:
@@ -360,9 +356,7 @@ def minimal_roots(sys: CoxeterSystem, caps: Caps = Caps()) -> MinimalRootTable:
     otherwise (|c| >= 1).  The search runs on integer vectors and compares
     2c with +-2.
     """
-    M = field_modulus(sys)
-    plans = _kernel(sys)
-    identity_mat = _identity_matrix(sys)
+    M, identity_mat, plans = _kernel(sys)
     n = sys.rank
     roots: list[tuple[IntVec, ...]] = list(identity_mat)  # the simple roots
     index: dict[tuple[IntVec, ...], int] = {r: i for i, r in enumerate(roots)}

@@ -17,6 +17,13 @@ the group layer stores them as plain tuples of ints and uses the integer
 kernel here: `int_multiplier` and `int_mul_sub` for products, `int_sign`
 for signs.  `CycloReal.sign` clears denominators and calls the same
 `int_sign`.
+
+A field is built once per modulus, by `_field_data`: the minimal
+polynomial, its degree and the reduction rows; `minimal_polynomial_of_2cos`
+reads it.  The only other caches hold the levels of the sign ladder
+(`_generator_enclosure`, `_power_bounds`), each of which starts from the
+cached level below it.  The group layer keeps its multipliers in its own
+per-system cache.
 """
 
 from __future__ import annotations
@@ -61,14 +68,18 @@ def _poly_divexact(p: list[int], q: list[int]) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=256)
-def _cyclotomic(n: int) -> tuple[int, ...]:
-    """n-th cyclotomic polynomial, by dividing x^n - 1 by the proper divisors'."""
-    f = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
+def _cyclotomic(n: int) -> list[int]:
+    """n-th cyclotomic polynomial: for each divisor d of n in turn, x^d - 1
+    divided by the cyclotomic polynomials of d's proper divisors."""
+    found: dict[int, list[int]] = {}
+    for d in range(1, n + 1):
         if n % d == 0:
-            f = _poly_divexact(f, list(_cyclotomic(d)))
-    return tuple(f)
+            f = [-1] + [0] * (d - 1) + [1]
+            for e, p in found.items():
+                if d % e == 0:
+                    f = _poly_divexact(f, p)
+            found[d] = f
+    return found[n]
 
 
 def _euler_phi(n: int) -> int:
@@ -84,42 +95,9 @@ def _euler_phi(n: int) -> int:
     return result
 
 
-@lru_cache(maxsize=64)
 def minimal_polynomial_of_2cos(M: int) -> tuple[int, ...]:
-    """Monic minimal polynomial of 2cos(pi/M) over Q, ascending coefficients.
-
-    For M >= 2 the polynomial has degree phi(2M)/2 and is obtained from the
-    cyclotomic polynomial of order 2M: writing Phi_{2M}(z) (palindromic of
-    degree 2k) as z^k * P(z + 1/z) yields P via the coefficient recurrence
-    for the polynomials C_j with C_j(y + 1/y) = y^j + y^-j.
-    """
-    if M < 1:
-        raise InputError("modulus must be a positive integer")
-    if M == 1:
-        return (2, 1)  # 2cos(pi) = -2
-    phi = list(_cyclotomic(2 * M))
-    deg = len(phi) - 1
-    if deg % 2 != 0:
-        raise ArithmeticError("cyclotomic polynomial of order >= 3 must have even degree")
-    k = deg // 2
-    # C_0 = 2, C_1 = y, C_{j+1} = y*C_j - C_{j-1}
-    out = [0] * (k + 1)
-    out[0] = phi[k]
-    prev, cur = [2], [0, 1]
-    for j in range(1, k + 1):
-        c = phi[k + j]
-        if c:
-            for idx, coeff in enumerate(cur):
-                out[idx] += c * coeff
-        if j < k:
-            nxt = [0] + cur
-            for idx, coeff in enumerate(prev):
-                nxt[idx] -= coeff
-            prev, cur = cur, nxt
-    expected = _euler_phi(2 * M) // 2
-    if len(out) - 1 != expected or out[-1] != 1:
-        raise ArithmeticError(f"minimal polynomial construction failed for M={M}")
-    return tuple(out)
+    """Monic minimal polynomial of 2cos(pi/M) over Q, ascending coefficients."""
+    return _field_data(M)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -129,9 +107,41 @@ def minimal_polynomial_of_2cos(M: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=64)
 def _field_data(M: int):
-    """Degree and the integer reduction rows of x^k (deg <= k <= 2deg-2) for
-    the modulus M; integers because the minimal polynomial is monic."""
-    poly = minimal_polynomial_of_2cos(M)
+    """The field Q(2cos(pi/M)), built once per modulus: the minimal
+    polynomial of x = 2cos(pi/M), its degree deg, and the integer reduction
+    rows of x^k (deg <= k <= 2deg-2); integers because the polynomial is monic.
+
+    For M >= 2 the polynomial has degree phi(2M)/2 and is obtained from the
+    cyclotomic polynomial of order 2M: writing Phi_{2M}(z) (palindromic of
+    degree 2k) as z^k * P(z + 1/z) yields P via the coefficient recurrence
+    for the polynomials C_j with C_j(y + 1/y) = y^j + y^-j.
+    """
+    if M < 1:
+        raise InputError("modulus must be a positive integer")
+    if M == 1:
+        poly = (2, 1)  # 2cos(pi) = -2
+    else:
+        phi = _cyclotomic(2 * M)
+        if len(phi) % 2 == 0:
+            raise ArithmeticError("cyclotomic polynomial of order >= 3 must have even degree")
+        k = len(phi) // 2
+        # C_0 = 2, C_1 = y, C_{j+1} = y*C_j - C_{j-1}
+        out = [0] * (k + 1)
+        out[0] = phi[k]
+        prev, cur = [2], [0, 1]
+        for j in range(1, k + 1):
+            c = phi[k + j]
+            if c:
+                for idx, coeff in enumerate(cur):
+                    out[idx] += c * coeff
+            if j < k:
+                nxt = [0] + cur
+                for idx, coeff in enumerate(prev):
+                    nxt[idx] -= coeff
+                prev, cur = cur, nxt
+        if k != _euler_phi(2 * M) // 2 or out[-1] != 1:
+            raise ArithmeticError(f"minimal polynomial construction failed for M={M}")
+        poly = tuple(out)
     deg = len(poly) - 1
     rows = []
     # x^deg = -(poly[0] + ... + poly[deg-1] x^{deg-1})
@@ -143,13 +153,13 @@ def _field_data(M: int):
         if top:
             row = [a + top * b for a, b in zip(row, rows[0])]
         rows.append(tuple(row))
-    return deg, tuple(rows)
+    return poly, deg, tuple(rows)
 
 
 def _reduce(M: int, coeffs: list) -> tuple:
     """Reduce a coefficient list (ints or Fractions, any length >= 1) modulo
     the minimal polynomial; consumes the list."""
-    deg, rows = _field_data(M)
+    _, deg, rows = _field_data(M)
     for k in range(len(coeffs) - 1, deg - 1, -1):
         c = coeffs.pop()
         if c:
@@ -162,7 +172,6 @@ def _reduce(M: int, coeffs: list) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=1024)
 def int_multiplier(M: int, c: tuple[int, ...]):
     """Multiplication by the fixed element c, for `int_mul_sub`: (c0, None)
     when c is the integer c0, else (None, rows) with rows the integer matrix
@@ -198,22 +207,21 @@ class CycloReal(Record):
 
     @staticmethod
     def zero(M: int) -> "CycloReal":
-        deg, _ = _field_data(M)
+        _, deg, _ = _field_data(M)
         return CycloReal(M, (Fraction(0),) * deg)
 
     @staticmethod
     def from_rational(M: int, value) -> "CycloReal":
-        deg, _ = _field_data(M)
+        _, deg, _ = _field_data(M)
         head = (Fraction(value),)
         return CycloReal(M, head + (Fraction(0),) * (deg - 1))
 
     @staticmethod
     def generator(M: int) -> "CycloReal":
         """The element 2cos(pi/M) itself."""
-        deg, _ = _field_data(M)
+        poly, deg, _ = _field_data(M)
         if deg == 1:
             # field is Q; the generator is the rational root of the minpoly
-            poly = minimal_polynomial_of_2cos(M)
             return CycloReal(M, (Fraction(-poly[0], poly[1]),))
         vec = [Fraction(0)] * deg
         vec[1] = Fraction(1)
@@ -366,8 +374,7 @@ def _generator_enclosure(M: int, prec: int) -> tuple[Fraction, Fraction]:
     The interval is returned only after the exact checks P(lo) < 0 < P(hi).
     No float is used.
     """
-    poly = minimal_polynomial_of_2cos(M)
-    deg = len(poly) - 1
+    poly, deg, _ = _field_data(M)
     if deg == 1:
         root = Fraction(-poly[0])
         return root, root
@@ -401,7 +408,7 @@ def _power_bounds(M: int, prec: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     every power; x > 0 whenever the degree exceeds 1, so the powers of the
     enclosure's ends bound the powers of x.
     """
-    deg, _ = _field_data(M)
+    _, deg, _ = _field_data(M)
     lo, hi = _generator_enclosure(M, prec)
     if lo <= 0:
         raise ArithmeticError(f"enclosure of 2cos(pi/{M}) is not positive")

@@ -321,6 +321,11 @@ class TestCoxeterCommands:
         for sample in doc["samples"]:
             assert "some_witness_in_finite_parabolic" in sample
 
+    def test_probe_spherical_negative_samples_exit_2(self, capsys, delta246_file):
+        code, out, err = run(capsys, "coxeter", "probe-spherical", delta246_file, "--samples", "-1")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["type"] == "InputError"
+
     def test_resource_cap_exit_3(self, capsys, delta246_file):
         code, _, err = run(
             capsys, "coxeter", "build", delta246_file, "--max-states", "2"

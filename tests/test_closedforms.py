@@ -17,11 +17,29 @@ from weightcell.closedforms import (
 )
 from weightcell.cones import HRep, implies, remove_redundant, same_cone
 from weightcell.automata import enumerate_words
-from weightcell.coxeter import CoxeterSystem, ball, group_cell, lex_word, natural_map
+from weightcell.coxeter import CoxeterSystem, ball, group_cell, lex_word, longest_element, natural_map
 from weightcell.errors import InputError
+from weightcell.limits import Caps
 from weightcell.weights import WeightVector, weight_of_word
 
 from conftest import b_series_system, dihedral_system, f4_system, triangle_system
+
+
+# F4's candidate elements, as words in 0-based letters: 11 core words, their
+# images under the diagram flip 1<->4, 2<->3, the identity and the longest
+# element
+F4_CORE_WORDS = (
+    "121", "121321", "12132132", "1213214321", "121321432132", "121323432132",
+    "121321324321", "12132132432132", "1213214321324321", "121321324321324321",
+    "121321324321323432132",
+)
+
+
+def f4_candidates() -> list:
+    words = [tuple(int(ch) - 1 for ch in text) for text in F4_CORE_WORDS]
+    words += [tuple(3 - i for i in w) for w in words]
+    sys = f4_system()
+    return words + [(), lex_word(sys, longest_element(sys))]
 
 
 def brute_force(sys, weights_by_index, radius=200):
@@ -177,7 +195,7 @@ class TestBSeries:
             raise AssertionError("bn_bound runs no group arithmetic")
 
         monkeypatch.setattr(closedforms, "lex_word", refuse)
-        monkeypatch.setattr(closedforms, "natural_map", refuse)
+        monkeypatch.setattr(closedforms, "right_mul", refuse)
         result = bn_bound(40, 1, -1)
         # the forms peak at i = 38 and 39: n(n - 1) - (n - 1), twice
         assert (result.bound, len(result.cell)) == (40 * 39 - 39, 2)
@@ -202,11 +220,23 @@ class TestF4:
         assert len(result.cell[0]) == 24
 
     def test_candidate_set_has_24_elements(self):
-        from weightcell.closedforms import _f4_candidates, _f4_system
-
-        sys = _f4_system()
-        elements = {natural_map(sys, w) for w in _f4_candidates()}
+        sys = f4_system()
+        elements = {natural_map(sys, w) for w in f4_candidates()}
         assert len(elements) == 24
+
+    def test_normal_forms_are_the_candidates_shortlex_forms(self):
+        # the oracle for the literal table: each candidate word's element,
+        # written in shortlex normal form
+        sys = f4_system()
+        assert closedforms._F4_NORMAL_FORMS == tuple(
+            lex_word(sys, natural_map(sys, w)) for w in f4_candidates()
+        )
+
+    def test_a_zero_parameter_needs_no_roots(self):
+        # the cell, and with it F4's 24 minimal roots, is left to the
+        # generic machinery (test_limits pins the cap when both are nonzero)
+        for a, b in ((0, -1), (1, 0), (0, 0)):
+            assert f4_bound(a, b, Caps(roots=1)) == f4_bound(a, b)
 
     def test_consistency_with_nonneg_formula(self):
         rng = random.Random(8)

@@ -81,6 +81,26 @@ class TestMinimalPolynomial:
             minimal_polynomial_of_2cos(0)
 
 
+def poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def test_cyclotomic_polynomials_factor_x_n_minus_1():
+    # x^n - 1 is the product of the d-th cyclotomic polynomials over d | n
+    phi = {n: cyclo._cyclotomic(n) for n in range(1, 301)}
+    for n in range(1, 301):
+        product = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                product = poly_mul(product, phi[d])
+        assert product == [-1] + [0] * (n - 1) + [1], n
+        assert len(phi[n]) - 1 == euler_phi(n), n
+
+
 class TestEmbed:
     def test_identity_embedding(self):
         x = embed_2cos(12, 12)

@@ -2,18 +2,27 @@
 
 import ast
 import inspect
+import json
 from pathlib import Path
 
 import pytest
 
 import weightcell
 from weightcell import automata, closedforms, cones, coxeter, limits, weights
+from weightcell.automata import Automaton
+from weightcell.cli import main
 from weightcell.cones import HRep
 from weightcell.errors import InputError, ResourceLimitError
 from weightcell.limits import Caps
 from weightcell.weights import WeightVector
 
-from conftest import b_series_system, f4_system, triangle_333_shortlex_automaton
+from conftest import (
+    b_series_system,
+    f4_system,
+    triangle_246_shortlex_automaton,
+    triangle_333_shortlex_automaton,
+    triangle_system,
+)
 
 
 def test_defaults():
@@ -170,3 +179,101 @@ def test_finiteness_checks_obey_caps():
     for call in calls:
         with pytest.raises(ResourceLimitError):
             call()
+
+
+# ---------------------------------------------------------------------------
+# Each cap at its boundary: an input that reaches the cap exactly passes,
+# and the cap one lower stops with that stage and cap, in the library and,
+# as exit 3 with the JSON error, through the CLI
+# ---------------------------------------------------------------------------
+
+
+def one_letter_from_the_end_nfa() -> Automaton:
+    """(a|b)* a (a|b): 3 states, whose subset construction has 4."""
+    transitions = ((0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 2), (1, 1, 2))
+    return Automaton(("a", "b"), 3, 0, frozenset({2}), transitions)
+
+
+def system_document(sys) -> str:
+    return json.dumps({"generators": list(sys.generators), "matrix": [list(row) for row in sys.matrix]})
+
+
+def fig246_rays(caps):
+    a = triangle_246_shortlex_automaton()
+    return cones.extreme_rays(HRep(len(a.alphabet), tuple(weights.boundedness_cone_vectors(a))), caps)
+
+
+# stage, Caps field, the count the input reaches, the library call under
+# caps, the text of the CLI's input file (None: no file) and the CLI argv
+# that the file's path ends
+BOUNDARIES = [
+    pytest.param(
+        "simple cycles", "cycles", 5,
+        lambda caps: weights.simple_cycles(weights.prepared(triangle_246_shortlex_automaton()), caps),
+        lambda: automata.to_json(triangle_246_shortlex_automaton()), ["cone"],
+        id="simple_cycles",
+    ),
+    pytest.param(
+        "automaton file states", "states", 13,
+        lambda caps: automata.from_json(automata.to_json(triangle_246_shortlex_automaton()), caps),
+        lambda: automata.to_json(triangle_246_shortlex_automaton()), ["automaton", "info"],
+        id="from_json",
+    ),
+    pytest.param(
+        "extreme rays", "rays", 4, fig246_rays,
+        lambda: automata.to_json(triangle_246_shortlex_automaton()), ["cone"],
+        id="extreme_rays",
+    ),
+    pytest.param(
+        "minimal roots", "roots", 6,
+        lambda caps: coxeter.minimal_roots(triangle_system(3, 3, 3), caps),
+        lambda: system_document(triangle_system(3, 3, 3)), ["coxeter", "build"],
+        id="minimal_roots",
+    ),
+    pytest.param(
+        "determinization states", "states", 4,
+        lambda caps: automata.determinize(one_letter_from_the_end_nfa(), caps),
+        lambda: automata.to_json(one_letter_from_the_end_nfa()), ["automaton", "min"],
+        id="determinize",
+    ),
+    pytest.param(
+        "minimal roots", "roots", 24,
+        lambda caps: closedforms.f4_bound(1, -1, caps),
+        None, ["coxeter", "closed-form", "f4", "--phi", "a=1,b=-1"],
+        id="f4_bound",
+    ),
+]
+
+
+@pytest.mark.parametrize("stage, field, count, call, document, argv", BOUNDARIES)
+def test_cap_holds_exactly_at_the_count_reached(stage, field, count, call, document, argv):
+    call(Caps(**{field: count}))
+    with pytest.raises(ResourceLimitError) as info:
+        call(Caps(**{field: count - 1}))
+    assert (info.value.what, info.value.cap) == (stage, count - 1)
+
+
+@pytest.mark.parametrize("stage, field, count, call, document, argv", BOUNDARIES)
+def test_cli_exits_3_one_below_the_count_reached(
+    stage, field, count, call, document, argv, tmp_path, monkeypatch, capsys
+):
+    if document is not None:
+        path = tmp_path / "input.json"
+        path.write_text(document())
+        argv = argv + [str(path)]
+    monkeypatch.setenv("WEIGHTCELL_CAPS", f"{field}={count}")
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("WEIGHTCELL_CAPS", f"{field}={count - 1}")
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {
+        "error": {
+            "code": 3,
+            "type": "ResourceLimitError",
+            "message": f"{stage} exceeded the cap of {count - 1}",
+            "stage": stage,
+            "cap": count - 1,
+        }
+    }
