@@ -230,7 +230,7 @@ def _adjacent(r1, r2, processed, quotient_dim) -> bool:
     common = [
         n for n in processed if _dot(n, r1) == 0 and _dot(n, r2) == 0
     ]
-    if quotient_dim <= 2:
+    if quotient_dim <= 2:  # then common is empty: r1, r2 and the lines span the space
         return True
     if len(common) < quotient_dim - 2:
         return False

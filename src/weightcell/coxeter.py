@@ -15,8 +15,8 @@ of `automata`; a finite group's reduced-word automaton is already minimal.
 
 What the group arithmetic reads of a system (the field modulus, the identity
 matrix and the integer action of the generators) is built once per system
-by `_kernel`, from the plain functions `field_modulus` and `bilinear_form`.
-The other caches hold results: `minimal_roots`, `language_automaton`,
+by `_kernel`, which also keeps the system's minimal roots and language DFAs,
+keyed by the system alone, never by caps.  The other caches hold
 `is_positive_definite` and the balls of `_ball_entries`.
 """
 
@@ -159,11 +159,11 @@ IntMatrix = tuple[tuple[IntVec, ...], ...]  # rows of entries
 
 
 @lru_cache(maxsize=_SYSTEMS_CACHED)
-def _kernel(sys: CoxeterSystem) -> tuple[int, IntMatrix, tuple]:
+def _kernel(sys: CoxeterSystem) -> tuple[int, IntMatrix, tuple, dict]:
     """Everything the group arithmetic reads of a system, built once: the
-    field modulus M, the identity matrix, and for each generator s the
-    pairs (k, multiplier of 2B(alpha_s, alpha_k)) over k != s with a nonzero
-    entry.
+    field modulus M, the identity matrix, for each generator s the pairs
+    (k, multiplier of 2B(alpha_s, alpha_k)) over k != s with a nonzero
+    entry, and a dict for the "roots", "lex" and "reduced" results.
 
     2B has entries 2, -2cos(pi/m) and -2, all in Z[2cos(pi/M)], so every
     group matrix and every root has integer coefficient vectors (`IntVec`).
@@ -188,7 +188,7 @@ def _kernel(sys: CoxeterSystem) -> tuple[int, IntMatrix, tuple]:
     deg = len(B[0][0].coeffs)
     one, zero = (1,) + (0,) * (deg - 1), (0,) * deg
     identity_mat = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-    return M, identity_mat, tuple(plans)
+    return M, identity_mat, tuple(plans), {}
 
 
 def _reflect(plan, s: int, vec) -> IntVec:
@@ -302,7 +302,7 @@ def lex_word(sys: CoxeterSystem, g: GroupElement) -> Word:
     Only the inverse is tracked: the left descents of h are read off the
     columns of h^-1, and (t h)^-1 = h^-1 t.
     """
-    M, identity_mat, _ = _kernel(sys)
+    M, identity_mat = _kernel(sys)[:2]
     word = []
     inv = g.inv
     while inv != identity_mat:
@@ -346,7 +346,6 @@ class MinimalRootTable(Record):
         return len(self.roots)
 
 
-@lru_cache(maxsize=64)
 def minimal_roots(sys: CoxeterSystem, caps: Caps = Caps()) -> MinimalRootTable:
     """Breadth-first closure from the simple roots.
 
@@ -356,8 +355,12 @@ def minimal_roots(sys: CoxeterSystem, caps: Caps = Caps()) -> MinimalRootTable:
     otherwise (|c| >= 1).  The search runs on integer vectors and compares
     2c with +-2.
     """
-    M, identity_mat, plans = _kernel(sys)
+    M, identity_mat, plans, built = _kernel(sys)
     n = sys.rank
+    if "roots" in built:  # raise as a cold build would, which never caps the simple roots
+        if built["roots"].n_roots > max(caps.roots, n):
+            raise ResourceLimitError("minimal roots", caps.roots)
+        return built["roots"]
     roots: list[tuple[IntVec, ...]] = list(identity_mat)  # the simple roots
     index: dict[tuple[IntVec, ...], int] = {r: i for i, r in enumerate(roots)}
 
@@ -395,7 +398,7 @@ def minimal_roots(sys: CoxeterSystem, caps: Caps = Caps()) -> MinimalRootTable:
     table = tuple(
         tuple(action[(s, r)] for r in range(len(roots))) for s in range(n)
     )
-    return MinimalRootTable(tuple(roots), table)
+    return built.setdefault("roots", MinimalRootTable(tuple(roots), table))
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +447,6 @@ def _subset_automaton(sys: CoxeterSystem, shortlex: bool, caps: Caps = Caps()) -
     return len(order), columns
 
 
-@lru_cache(maxsize=64)
 def language_automaton(sys: CoxeterSystem, language: str, caps: Caps = Caps()) -> Automaton:
     """The minimal DFA of the shortlex ("lex") or reduced-word language: the
     subset automaton, a trim DFA, fed straight to the Hopcroft core.  A
@@ -452,10 +454,17 @@ def language_automaton(sys: CoxeterSystem, language: str, caps: Caps = Caps()) -
     one element, and distinct elements have distinct cone types."""
     if language not in ("lex", "reduced"):
         raise InputError(f"unknown language {language!r} (expected 'lex' or 'reduced')")
-    n, columns = _subset_automaton(sys, language == "lex", caps)
-    if language == "reduced" and is_positive_definite(sys, None, caps):
-        return _automaton(sys.generators, n, 0, frozenset(range(n)), columns)
-    return _minimal(sys.generators, n, 0, range(n), columns)
+    built = _kernel(sys)[3]
+    if language not in built:
+        n, columns = _subset_automaton(sys, language == "lex", caps)
+        if language == "reduced" and is_positive_definite(sys, None, caps):
+            built[language] = _automaton(sys.generators, n, 0, frozenset(range(n)), columns), n
+        else:
+            built[language] = _minimal(sys.generators, n, 0, range(n), columns), n
+    minimal_roots(sys, caps)  # raise as a cold build would: at the roots, then the states
+    if built[language][1] > caps.states:
+        raise ResourceLimitError("automaton states", caps.states)
+    return built[language][0]
 
 
 # ---------------------------------------------------------------------------

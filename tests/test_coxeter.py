@@ -124,6 +124,12 @@ def reduced_words_oracle(sys, radius):
     return sorted(out, key=shortlex_key)
 
 
+def kept(sys):
+    """The results that the system's kernel keeps: the minimal roots and the
+    language DFAs, each with its subset-state count."""
+    return coxeter_module._kernel(sys)[3]
+
+
 def subset_dfa(sys, shortlex):
     """The Brink-Howlett subset automaton as built, before minimization."""
     n, columns = _subset_automaton(sys, shortlex)
@@ -504,13 +510,13 @@ class TestAutomata:
         # took 380-394)
         sys = BENCHMARK_SYSTEMS["F4t"]
         minimal_roots(sys)  # warms minimal_roots(sys, caps) too
-        is_positive_definite(sys)
         raw = subset_dfa(sys, shortlex=True)
         assert (raw.n_states, len(raw.transitions)) == (12_268, 13_624)
         del raw
+        kept(sys).pop("lex", None)  # a cold build
         tracemalloc.start()
         try:
-            language_automaton.__wrapped__(sys, "lex")
+            language_automaton(sys, "lex")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -547,7 +553,8 @@ class TestAutomata:
             raise AssertionError("a finite group's reduced words were minimized")
 
         monkeypatch.setattr(coxeter_module, "_minimal", no_minimize)
-        assert to_json(language_automaton.__wrapped__(sys, "reduced")) == to_json(raw)
+        kept(sys).pop("reduced", None)  # a cold build
+        assert to_json(language_automaton(sys, "reduced")) == to_json(raw)
 
     def test_finite_reduced_state_cap(self):
         with pytest.raises(ResourceLimitError) as exc:
@@ -575,6 +582,86 @@ class TestAutomata:
         for word in ball(sys, 8).values():
             ball_by_len[len(word)] = ball_by_len.get(len(word), 0) + 1
         assert by_len == ball_by_len
+
+
+class TestKeptResults:
+    """The kernel keeps a system's minimal roots and language DFAs, keyed by
+    the system alone: caps only decide whether a kept result is returned,
+    and a kept result raises what a cold build under the same caps would."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda sys, *caps, **kw: minimal_roots(sys, *caps, **kw),
+            lambda sys, *caps, **kw: language_automaton(sys, "lex", *caps, **kw),
+            lambda sys, *caps, **kw: language_automaton(sys, "reduced", *caps, **kw),
+        ],
+        ids=["roots", "lex", "reduced"],
+    )
+    def test_every_spelling_returns_one_object(self, call):
+        sys = triangle_system(2, 3, 7)
+        kept(sys).clear()
+        first = call(sys)
+        assert call(sys, Caps()) is first
+        assert call(sys, caps=Caps()) is first
+        assert call(sys, Caps(cycles=5)) is first
+
+    def test_a_failed_build_keeps_nothing(self):
+        sys = triangle_system(2, 3, 7)
+        kept(sys).clear()
+        with pytest.raises(ResourceLimitError) as exc:
+            language_automaton(sys, "lex", Caps(roots=3))
+        assert (exc.value.what, kept(sys)) == ("minimal roots", {})
+        with pytest.raises(ResourceLimitError) as exc:
+            language_automaton(sys, "lex", Caps(states=3))
+        assert (exc.value.what, set(kept(sys))) == ("automaton states", {"roots"})
+        a = language_automaton(sys, "lex", Caps(states=1_000))
+        assert a is language_automaton(sys, "lex")
+        assert set(kept(sys)) == {"roots", "lex"}
+
+    def test_a_kept_dfa_raises_where_its_cold_build_does(self):
+        # at exactly the subset-state count, and at the roots before the
+        # states when both caps are too small
+        sys = triangle_system(2, 3, 7)
+        n, _ = _subset_automaton(sys, shortlex=True)
+        kept(sys).pop("lex", None)
+        for _ in range(2):  # cold, then a hit
+            for caps, stage, cap in (
+                (Caps(roots=3, states=1), "minimal roots", 3),
+                (Caps(states=n - 1), "automaton states", n - 1),
+            ):
+                with pytest.raises(ResourceLimitError) as exc:
+                    language_automaton(sys, "lex", caps)
+                assert (exc.value.what, exc.value.cap) == (stage, cap)
+            assert language_automaton(sys, "lex", Caps(states=n)) is language_automaton(sys, "lex")
+
+    def test_the_kernel_keeps_only_roots_and_languages(self):
+        sys = f4_system()
+        kept(sys).clear()
+        minimal_roots(sys)
+        language_automaton(sys, "lex")
+        language_automaton(sys, "reduced")
+        is_positive_definite(sys, (0, 1))
+        longest_element(sys)
+        ball(sys, 3)
+        parabolic_elements(sys, (2, 3))
+        group_cell(sys, dict.fromkeys(sys.generators, 1), "lex")
+        assert set(kept(sys)) == {"roots", "lex", "reduced"}
+
+    def test_the_simple_roots_are_never_capped(self):
+        # a cold build adds the simple roots before it reads the cap, so a
+        # cap below the rank raises only if there is a further root
+        a1a1a1 = CoxeterSystem(("a", "b", "c"), ((1, 2, 2), (2, 1, 2), (2, 2, 1)))
+        a2 = dihedral_system(3)
+        kept(a1a1a1).clear()
+        kept(a2).clear()
+        assert minimal_roots(a1a1a1, Caps(roots=1)).n_roots == 3  # cold
+        assert minimal_roots(a1a1a1, Caps(roots=1)) is kept(a1a1a1)["roots"]  # a hit
+        for hit in (False, True):
+            with pytest.raises(ResourceLimitError) as exc:
+                minimal_roots(a2, Caps(roots=1))
+            assert (exc.value.what, exc.value.cap, "roots" in kept(a2)) == ("minimal roots", 1, hit)
+            assert minimal_roots(a2).n_roots == 3
 
 
 class TestWeightFunctions:
