@@ -9,7 +9,8 @@ by the tight sub-automaton of maximal-weight runs.
 One path-weight core serves `bound` and `cell_automaton`: Johnson's
 circuit search decides boundedness, a forward and a backward path
 relaxation give the bound and the tight sub-automaton, and the witnesses
-are the circuit-free words of that sub-automaton.
+are the circuit-free words of that sub-automaton.  The relaxations weigh
+paths by the weights' numerators over their least common denominator.
 
 All comparisons are exact; there are no tolerance parameters.
 """
@@ -334,11 +335,12 @@ def _tight(a: Automaton, phi: WeightVector, caps: Caps = Caps()):
     """The path-weight core: (bound, tight sub-automaton, its trimmed form).
 
     Johnson's circuit search decides boundedness; then, with no positive
-    circuit, an exact relaxation gives maxhead (the heaviest path from the
-    start to each state) and maxtail (from each state to an accept state;
-    the same relaxation on the reversed edges).  The bound b is the
-    largest maxhead at an accept state.  The tight sub-automaton keeps the
-    states q with maxhead(q) + maxtail(q) = b, the transitions preserving
+    circuit, an exact relaxation over the weights' integer numerators gives
+    maxhead (the heaviest path from the start to each state) and maxtail
+    (from each state to an accept state; the same relaxation on the
+    reversed edges).  The largest maxhead at an accept state, top, over the
+    common denominator is the bound b.  The tight sub-automaton keeps the
+    states q with maxhead(q) + maxtail(q) = top, the transitions preserving
     prefix maximality (maxhead(q) + weight(letter) = maxhead(q')), and
     accepts at the accept states with maxtail = 0.  It recognises exactly
     the words of weight b: along a run of weight b every prefix is as heavy
@@ -356,39 +358,41 @@ def _tight(a: Automaton, phi: WeightVector, caps: Caps = Caps()):
         )
     if not d.accept:
         raise InputError("the language is empty; no weight function has a bound")
-    forward = [(src, phi.values[letter], dst) for src, letter, dst in d.transitions]
+    numerators, denominator = phi._integral
+    forward = [(src, numerators[letter], dst) for src, letter, dst in d.transitions]
     maxhead = _relax(d.n_states, [d.start], forward)
     maxtail = _relax(d.n_states, d.accept, [(dst, w, src) for src, w, dst in forward])
-    b = max(maxhead[q] for q in d.accept)
+    top = max(maxhead[q] for q in d.accept)
     # d is trimmed, so every state has a maxhead and a maxtail.
-    tight = [q for q in range(d.n_states) if maxhead[q] + maxtail[q] == b]
+    tight = [q for q in range(d.n_states) if maxhead[q] + maxtail[q] == top]
     renum = {q: i for i, q in enumerate(tight)}
     transitions = tuple(
         (renum[src], letter, renum[dst])
         for src, letter, dst in d.transitions
-        if src in renum and dst in renum and maxhead[src] + phi.values[letter] == maxhead[dst]
+        if src in renum and dst in renum and maxhead[src] + numerators[letter] == maxhead[dst]
     )
     accept = frozenset(renum[q] for q in d.accept if q in renum and maxtail[q] == 0)
     raw = Automaton(a.alphabet, len(tight), renum[d.start], accept, transitions)
-    return b, raw, trim(raw)
+    return Fraction(top, denominator), raw, trim(raw)
 
 
-def _relax(n: int, sources, edges) -> list[Fraction | None]:
-    """Exact maximum weight of a path from `sources` to each of the n states
-    over `edges` (src, weight, dst); None if none.
+def _relax(n: int, sources, edges) -> list[int | None]:
+    """Maximum weight of a path from `sources` to each of the n states over
+    `edges` (src, weight, dst); None if none.
 
     A FIFO worklist over out-adjacency lists: a state's out-edges are
-    relaxed again only after its value rose.  Precondition: no circuit has
-    positive weight (`_tight`, the only caller, runs Johnson's search
-    first), so every value rises finitely often and the worklist empties.
+    relaxed again only after its value rose.  Preconditions: int weights
+    (`_tight`, the only caller, passes phi's numerators), and no circuit of
+    positive weight (`_tight` runs Johnson's search first), so every value
+    rises finitely often and the worklist empties.
     """
-    out: list[list[tuple[Fraction, int]]] = [[] for _ in range(n)]
+    out: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for src, w, dst in edges:
         out[src].append((w, dst))
-    best: list[Fraction | None] = [None] * n
+    best: list[int | None] = [None] * n
     queued = [False] * n
     for q in sources:
-        best[q] = Fraction(0)
+        best[q] = 0
         queued[q] = True
     queue = deque(q for q in range(n) if queued[q])
     while queue:

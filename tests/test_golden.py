@@ -161,6 +161,37 @@ CASES = {
         ["coxeter", "closed-form", "b", "--n", "12", "--phi", "a=-1,b=6", "--format", "json"],
         [],
     ),
+    # rational weights whose bound is not an integer: 13/6 on fig 2.4.6,
+    # where tstu weighs 0 and the cell is stst (utst)*, and 1/2 on (2,4,6)
+    "bound-fig246-rational-text": (["bound", "fig246.json", "--phi", "s=1/2,t=7/12,u=-5/3"], []),
+    "bound-fig246-rational-json": (
+        ["bound", "fig246.json", "--phi", "s=1/2,t=7/12,u=-5/3", "--format", "json"],
+        [],
+    ),
+    "cell-fig246-rational-json": (
+        ["cell", "fig246.json", "--phi", "s=1/2,t=7/12,u=-5/3", "--out-prefix", "q246", "--format", "json"],
+        ["q246-cell-raw.json", "q246-cell-dfa.json", "q246-cell-dfa.dot"],
+    ),
+    "cell-fig246-rational-text": (
+        ["cell", "fig246.json", "--phi", "s=1/2,t=7/12,u=-5/3", "--out-prefix", "q246"],
+        ["q246-cell-raw.json", "q246-cell-dfa.json", "q246-cell-dfa.dot"],
+    ),
+    "coxeter-bound-246-rational-text": (["coxeter", "bound", "t246.json", "--phi", "s=-5/3,t=1/2,u=-1/2"], []),
+    "coxeter-bound-246-rational-json": (
+        ["coxeter", "bound", "t246.json", "--phi", "s=-5/3,t=1/2,u=-1/2", "--format", "json"],
+        [],
+    ),
+    "coxeter-cell-246-rational-json": (
+        [
+            "coxeter", "cell", "t246.json", "--phi", "s=-5/3,t=1/2,u=-1/2",
+            "--out-prefix", "r246", "--format", "json",
+        ],
+        ["r246-cell-raw.json", "r246-cell-dfa.json", "r246-cell-dfa.dot"],
+    ),
+    "coxeter-cell-246-rational-text": (
+        ["coxeter", "cell", "t246.json", "--phi", "s=-5/3,t=1/2,u=-1/2", "--out-prefix", "r246"],
+        ["r246-cell-raw.json", "r246-cell-dfa.json", "r246-cell-dfa.dot"],
+    ),
 }
 
 

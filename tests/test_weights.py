@@ -1,7 +1,9 @@
 """Weight-engine tests: circuits, circuit-free words, boundedness, bound, cell."""
 
 import random
+from collections import deque
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -15,13 +17,17 @@ from weightcell.automata import (
     to_json,
     trim,
 )
+from weightcell.cones import HRep, extreme_rays
+from weightcell.coxeter import CoxeterSystem, language_automaton
 from weightcell.errors import InputError, ResourceLimitError, UnboundedError
 from weightcell.limits import Caps
 from weightcell.weights import (
     CellResult,
     SimpleCycle,
     WeightVector,
+    _relax,
     bound,
+    boundedness_cone_vectors,
     cell_automaton,
     circuit_free_words,
     is_bounded,
@@ -32,7 +38,13 @@ from weightcell.weights import (
     weight_of_word,
 )
 
-from conftest import random_automaton, single_cycle_automaton
+from conftest import (
+    affine_b_system,
+    affine_c_system,
+    random_automaton,
+    single_cycle_automaton,
+    triangle_system,
+)
 
 
 def wv(a, text):
@@ -613,3 +625,139 @@ class TestOracleProperties:
         result = bound(ex_cell_nfa, phi)
         assert result.bound == -1
         assert result.witnesses == ((0,),)
+
+
+# -- the Fraction relaxation, kept as the reference --------------------------
+
+
+def fraction_relax(n, sources, edges):
+    """The path relaxation over `Fraction` weights, as the weight engine ran
+    it before it moved to the weights' integer numerators."""
+    out = [[] for _ in range(n)]
+    for src, w, dst in edges:
+        out[src].append((w, dst))
+    best = [None] * n
+    queued = [False] * n
+    for q in sources:
+        best[q] = Fraction(0)
+        queued[q] = True
+    queue = deque(q for q in range(n) if queued[q])
+    while queue:
+        src = queue.popleft()
+        queued[src] = False
+        for w, dst in out[src]:
+            cand = best[src] + w
+            if best[dst] is None or cand > best[dst]:
+                best[dst] = cand
+                if not queued[dst]:
+                    queued[dst] = True
+                    queue.append(dst)
+    return best
+
+
+def fraction_tight(a, phi):
+    """(bound, tight sub-automaton) by the `Fraction` relaxation, with the
+    tight-state, tight-edge and accept tests over the rational weights."""
+    d = prepared(a)
+    forward = [(src, phi.values[letter], dst) for src, letter, dst in d.transitions]
+    maxhead = fraction_relax(d.n_states, [d.start], forward)
+    maxtail = fraction_relax(d.n_states, d.accept, [(dst, w, src) for src, w, dst in forward])
+    b = max(maxhead[q] for q in d.accept)
+    tight = [q for q in range(d.n_states) if maxhead[q] + maxtail[q] == b]
+    renum = {q: i for i, q in enumerate(tight)}
+    transitions = tuple(
+        (renum[src], letter, renum[dst])
+        for src, letter, dst in d.transitions
+        if src in renum and dst in renum and maxhead[src] + phi.values[letter] == maxhead[dst]
+    )
+    accept = frozenset(renum[q] for q in d.accept if q in renum and maxtail[q] == 0)
+    return b, Automaton(a.alphabet, len(tight), renum[d.start], accept, transitions)
+
+
+# Language DFAs too large to enumerate, with the weights drawn from their cones.
+ORACLE_DFAS = {
+    "H4 lex": (
+        CoxeterSystem(
+            ("s0", "s1", "s2", "s3"),
+            ((1, 5, 2, 2), (5, 1, 3, 2), (2, 3, 1, 3), (2, 2, 3, 1)),
+        ),
+        "lex",
+    ),
+    "T246 reduced": (triangle_system(2, 4, 6), "reduced"),
+    "T237 reduced": (triangle_system(2, 3, 7), "reduced"),
+    "T444 reduced": (triangle_system(4, 4, 4), "reduced"),
+    "B4t lex": (affine_b_system(4), "lex"),
+    "C4t lex": (affine_c_system(4), "lex"),
+}
+
+
+def coprime_denominators(rng, k):
+    """k pairwise coprime denominators from 2..13 in random order."""
+    chosen = []
+    for d in rng.sample(range(2, 14), 12):
+        if all(gcd(d, e) == 1 for e in chosen):
+            chosen.append(d)
+    assert len(chosen) >= k
+    return chosen[:k]
+
+
+def oracle_weights(rng, a, count):
+    """`count` weights inside the cone of `a` whose letters have pairwise
+    coprime denominators (K v + p for an interior point v, a fractional p,
+    and K doubled until the weight is bounded), then each extreme ray
+    times a proper fraction: a boundary weight with zero circuits."""
+    dim = len(a.alphabet)
+    cone = extreme_rays(HRep(dim, tuple(boundedness_cone_vectors(a))))
+    out = []
+    for _ in range(count):
+        terms = [(rng.randint(1, 4), ray) for ray in cone.rays]
+        terms += [(rng.randint(-4, 4), line) for line in cone.lineality]
+        v = [sum(c * g[i] for c, g in terms) for i in range(dim)]
+        p = []
+        for d in coprime_denominators(rng, dim):
+            numerator = rng.choice([n for n in range(-2 * d, 2 * d) if gcd(n, d) == 1])
+            p.append(Fraction(numerator, d))
+        scale = 1
+        while True:
+            phi = WeightVector(a.alphabet, [scale * x + y for x, y in zip(v, p)])
+            if is_bounded(a, phi).bounded:
+                break
+            scale *= 2
+        assert [x.denominator for x in phi.values] == [x.denominator for x in p]
+        out.append(phi)
+    for ray in cone.rays:
+        d = rng.randint(2, 13)
+        lam = Fraction(rng.choice([n for n in range(1, d) if gcd(n, d) == 1]), d)
+        out.append(WeightVector(a.alphabet, [lam * x for x in ray]))
+    return out
+
+
+class TestFractionOracle:
+    @pytest.mark.parametrize("name", sorted(ORACLE_DFAS))
+    def test_integer_core_matches_fraction_relaxation(self, name):
+        system, language = ORACLE_DFAS[name]
+        a = language_automaton(system, language)
+        rng = random.Random(name)
+        zero_circuits = 0
+        for phi in oracle_weights(rng, a, 6):
+            b, raw = fraction_tight(a, phi)
+            cell = trim(raw)
+            witnesses = tuple(circuit_free_words(cell))
+            assert bound(a, phi) == CellResult(b, witnesses)
+            result = cell_automaton(a, phi)
+            assert (result.bound, result.witnesses) == (b, witnesses)
+            assert to_json(result.cell_nfa) == to_json(raw)
+            assert to_json(result.cell_dfa) == to_json(minimize(cell))
+            zero_circuits += bool(simple_cycles(cell))
+        # the cone of a finite group is the whole space: no rays, no circuits
+        assert zero_circuits or name == "H4 lex"
+
+    def test_relax_returns_ints(self):
+        best = _relax(4, [0], [(0, 3, 1), (1, -5, 2), (0, -1, 2), (2, 0, 0)])
+        assert best == [0, 3, -1, None]
+        assert {type(x) for x in best[:3]} == {int}
+
+    def test_bound_is_a_fraction_at_denominator_one(self, fig_246):
+        for engine in (bound, cell_automaton):
+            result = engine(fig_246, wv(fig_246, "s=1,t=2,u=-5"))
+            assert type(result.bound) is Fraction and result.bound == 6
